@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ValidationError
+from .errors import ConfigurationError, InputError, ValidationError
 
 SIDECAR_NAME = "sidecar.json"
 
@@ -47,7 +47,11 @@ class EncoderHandle(ABC):
 
     @abstractmethod
     def encode(self, texts: list[str], layer_limit: int | None = None) -> np.ndarray:
-        """Embed texts using only the first layer_limit layers. No side effects."""
+        """Embed texts using only the first layer_limit layers.
+
+        Weights and the training cache are left alone; a backend may fill
+        internal caches keyed by text (ReferenceEncoder caches features).
+        """
 
     @abstractmethod
     def forward_train(self, texts: list[str], layer_limit: int | None = None) -> np.ndarray:
@@ -114,7 +118,7 @@ class ReferenceEncoder(EncoderHandle):
             for _ in range(int(layers))
         ]
         self.step = 0
-        self._feat_cache: dict[str, np.ndarray] = {}
+        self._feat_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._train_cache = None
 
     @property
@@ -131,19 +135,51 @@ class ReferenceEncoder(EncoderHandle):
         return len(self.blocks)
 
     def _features(self, texts: list[str]) -> np.ndarray:
-        rows = np.empty((len(texts), self.feature_dim))
-        for i, text in enumerate(texts):
-            cached = self._feat_cache.get(text)
-            if cached is None:
-                counts = np.zeros(self.feature_dim)
-                padded = "\x02" + text.lower() + "\x03"
-                for j in range(len(padded) - 2):
-                    bucket = zlib.crc32(padded[j:j + 3].encode("utf-8")) % self.feature_dim
-                    counts[bucket] += 1.0
-                cached = counts / np.linalg.norm(counts)
-                self._feat_cache[text] = cached
-            rows[i] = cached
+        """Dense (len(texts), feature_dim) batch of unit-norm trigram counts.
+
+        The cache keeps one sparse entry per distinct text: its sorted bucket
+        indices and their normalized values. Counts are small integers, so
+        the sum of squares is exact in any order and every value is
+        bit-identical to normalizing the dense count row.
+        """
+        cache = self._feat_cache
+        missing = [t for t in dict.fromkeys(texts) if t not in cache]
+        if missing:
+            self._cache_features(missing)
+        rows = np.zeros((len(texts), self.feature_dim))
+        if not texts:
+            return rows
+        entries = [cache[t] for t in texts]
+        lengths = [len(buckets) for buckets, _ in entries]
+        rows[np.repeat(np.arange(len(texts)), lengths),
+             np.concatenate([buckets for buckets, _ in entries])] = \
+            np.concatenate([values for _, values in entries])
         return rows
+
+    def _cache_features(self, texts: list[str]) -> None:
+        fd = self.feature_dim
+        crc32 = zlib.crc32
+        hashes: list[int] = []
+        lengths = []
+        for text in texts:
+            padded = "\x02" + text.lower() + "\x03"
+            lengths.append(len(padded) - 2)
+            hashes.extend([crc32(padded[j:j + 3].encode("utf-8"))
+                           for j in range(len(padded) - 2)])
+        # one key per trigram, row * feature_dim + bucket, counted in one pass
+        keys = np.repeat(np.arange(len(texts), dtype=np.int64) * fd, lengths)
+        keys += np.array(hashes, dtype=np.int64) % fd
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, buckets = np.divmod(keys, fd)
+        counts = counts.astype(float)
+        # every text yields at least one trigram, so each row owns a run of keys
+        bounds = np.searchsorted(rows, np.arange(len(texts) + 1))
+        norms = np.sqrt(np.add.reduceat(counts * counts, bounds[:-1]))
+        values = counts / norms[rows]
+        buckets = buckets.astype(np.int32)
+        bounds = bounds.tolist()
+        for text, lo, hi in zip(texts, bounds, bounds[1:]):
+            self._feat_cache[text] = (buckets[lo:hi], values[lo:hi])
 
     def _block_weight(self, i: int) -> np.ndarray:
         # kept as a hook so tests can observe which blocks a forward pass reads
@@ -243,21 +279,43 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir, step: int | None = None) -
 
 
 def load_checkpoint(ckpt_dir) -> EncoderHandle:
+    """Rebuild an encoder from a checkpoint directory.
+
+    A sidecar that is unreadable or not JSON, or a weights file that is
+    truncated or corrupt, raises InputError; a sidecar missing a key or
+    holding a bad config raises ValidationError.
+    """
     ckpt_dir = Path(ckpt_dir)
     sidecar_path = ckpt_dir / SIDECAR_NAME
     if not sidecar_path.is_file():
         raise ConfigurationError(f"{ckpt_dir} is not a checkpoint directory (no {SIDECAR_NAME})")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read checkpoint sidecar {sidecar_path}: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ValidationError(f"{sidecar_path}: expected a JSON object")
     backend = sidecar.get("backend")
     if backend != ReferenceEncoder.backend:
         raise ConfigurationError(f"unknown encoder backend {backend!r} in {ckpt_dir}")
-    encoder = ReferenceEncoder(**sidecar["config"])
-    arrays = {p.stem: np.load(p) for p in sorted(ckpt_dir.glob("*.npy"))}
+    try:
+        config, step, identity = sidecar["config"], sidecar["step"], sidecar["identity"]
+        encoder = ReferenceEncoder(**config)
+        encoder.step = int(step)
+    except KeyError as exc:
+        raise ValidationError(f"{sidecar_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{sidecar_path}: bad config or step: {exc}") from exc
+    arrays = {}
+    for path in sorted(ckpt_dir.glob("*.npy")):
+        try:
+            arrays[path.stem] = np.load(path)
+        except (OSError, ValueError, EOFError) as exc:
+            raise InputError(f"cannot load checkpoint array {path}: {exc}") from exc
     encoder.load_state_arrays(arrays)
-    encoder.step = int(sidecar["step"])
-    if encoder.identity != sidecar["identity"]:
+    if encoder.identity != identity:
         raise ValidationError(
-            f"rebuilt identity {encoder.identity!r} does not match sidecar {sidecar['identity']!r}"
+            f"rebuilt identity {encoder.identity!r} does not match sidecar {identity!r}"
         )
     return encoder
 

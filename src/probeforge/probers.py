@@ -6,6 +6,13 @@ optional refinement sweep), mask-average candidate ranking, and free-form
 generation. Retrieval searches the full entity vocabulary by default;
 restricting candidates to one relation inflates scores and is left to the
 caller.
+
+Retrieval is exact: every query is scored against every entity, and the
+top k come out ordered by descending score with ties going to the lower
+entity index. Names and queries are encoded, and queries scored, in blocks
+of at most BLOCK_BYTES of dense float64 rows, so memory is bounded by one
+block plus the index and the query embeddings, whatever the vocabulary
+size.
 """
 
 from __future__ import annotations
@@ -32,6 +39,28 @@ from .text import collapse_norm
 UNIT_NORM_TOL = 1e-6
 DEFAULT_NUM_MASKS = 5
 MASK_STRATEGIES = ("independent", "order", "confidence")
+# most bytes of dense float64 rows one block may hold: the feature rows an
+# encode builds, and the score rows of the queries being ranked
+BLOCK_BYTES = 8 * 2**20
+
+
+def _blocks(n_rows: int, row_width: int) -> list[slice]:
+    """Near-equal row ranges of at most BLOCK_BYTES of row_width floats each.
+
+    Near-equal rather than full blocks plus a remainder, so that no block is
+    a sliver of a few rows: BLAS may round a product of very few rows
+    differently from a tall one.
+    """
+    per_block = max(1, BLOCK_BYTES // (8 * row_width))
+    count = -(-n_rows // per_block)
+    bounds = [n_rows * i // count for i in range(count + 1)] if count else []
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _encode_width(encoder: EncoderHandle) -> int:
+    # an encode holds one dense feature row per text; an encoder without
+    # input features is bounded by its embedding width instead
+    return getattr(encoder, "feature_dim", encoder.embedding_dim)
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -39,6 +68,14 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise NumericalError("cannot normalize a zero or non-finite vector")
     return matrix / norms
+
+
+def _encode_units(encoder: EncoderHandle, texts: list[str], layer_limit: int) -> np.ndarray:
+    """Unit-norm embeddings of texts, encoded one block of feature rows at a time."""
+    vectors = np.empty((len(texts), encoder.embedding_dim))
+    for block in _blocks(len(texts), _encode_width(encoder)):
+        vectors[block] = _unit_rows(encoder.encode(texts[block], layer_limit=layer_limit))
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -84,7 +121,7 @@ class EntityIndex:
                 f"expected {len(self.entity_names)} vector rows, got shape {self.vectors.shape}"
             )
         norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValidationError("entity index rows must have unit norm")
         dups = _duplicate_names(self.entity_names)
         if dups:
@@ -129,16 +166,24 @@ def build_entity_index(encoder: EncoderHandle, entity_names: Sequence[str],
             "duplicate entity names after normalization: " + ", ".join(dups)
         )
     limit = encoder.resolve_layer_limit(layer_limit)
-    vectors = _unit_rows(encoder.encode(names, layer_limit=limit))
-    return EntityIndex(tuple(names), vectors, encoder.identity, limit)
+    return EntityIndex(tuple(names), _encode_units(encoder, names, limit),
+                       encoder.identity, limit)
 
 
 def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
                       queries: Sequence[ProbeQuery], k: int) -> list[RankedPrediction]:
     """Rank index entities by cosine similarity to each encoded query.
 
-    The index must come from the same encoder state it is probed with;
-    ties are broken by entity position in the index.
+    The index must come from the same encoder state it is probed with.
+    Each prediction holds the min(k, len(index)) entities with the highest
+    scores, ordered by descending score; equal scores keep index order, so
+    the result equals sorting every entity by (-score, entity index).
+    Queries are encoded, then scored, a block at a time, a block holding
+    at most BLOCK_BYTES of feature or score rows, so memory is bounded by
+    one block plus the index and the query embeddings. Within a score
+    block, np.partition finds each row's k-th largest score, and only the
+    entities scoring at least that much are sorted (exact flat
+    k-selection).
     """
     if encoder.identity != index.encoder_identity:
         raise ConfigurationError(
@@ -147,18 +192,20 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
         )
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if not queries:
-        return []
-    encoded = encoder.encode([q.query_text for q in queries],
-                             layer_limit=index.layer_limit)
-    sims = _unit_rows(encoded) @ index.vectors.T
-    top = min(k, len(index))
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :top]
+    n = len(index)
+    top = min(k, n)
+    encoded = _encode_units(encoder, [q.query_text for q in queries], index.layer_limit)
     predictions = []
-    for row, query in enumerate(queries):
-        candidates = [(index.entity_names[j], float(sims[row, j])) for j in order[row]]
-        predictions.append(RankedPrediction(query.query_id, tuple(candidates),
-                                            strategy="contrastive"))
+    for block in _blocks(len(queries), n):
+        sims = encoded[block] @ index.vectors.T
+        kth = np.partition(sims, n - top, axis=1)[:, n - top]
+        for query, scores, floor in zip(queries[block], sims, kth):
+            candidates = np.flatnonzero(scores >= floor)
+            order = candidates[np.argsort(-scores[candidates], kind="stable")[:top]]
+            predictions.append(RankedPrediction(
+                query.query_id,
+                tuple((index.entity_names[j], float(scores[j])) for j in order),
+                strategy="contrastive"))
     return predictions
 
 

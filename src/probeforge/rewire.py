@@ -287,6 +287,10 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         config.to_json(out_dir / "rewire_config.json")
         ckpt_root = out_dir / "checkpoints"
 
+    # truncate_tokens is pure, so truncating each pair once gives the same
+    # batches as truncating them step by step
+    all_queries = [truncate_tokens(p.query, config.max_query_tokens) for p in pairs]
+    all_answers = [truncate_tokens(p.answer, config.max_answer_tokens) for p in pairs]
     trace: list[TraceRow] = []
     checkpoint_dirs: list[Path] = []
     current_epoch = -1
@@ -297,9 +301,9 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
             perm = np.random.default_rng([config.seed, epoch]).permutation(len(pairs))
             current_epoch = epoch
         offset = ((step - 1) % batches_per_epoch) * config.batch_size
-        batch = [pairs[i] for i in perm[offset:offset + config.batch_size]]
-        queries = [truncate_tokens(p.query, config.max_query_tokens) for p in batch]
-        answers = [truncate_tokens(p.answer, config.max_answer_tokens) for p in batch]
+        batch = perm[offset:offset + config.batch_size]
+        queries = [all_queries[i] for i in batch]
+        answers = [all_answers[i] for i in batch]
         outputs = encoder.forward_train(queries + answers)
         n = len(batch)
         loss, dq, da = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,50 @@ def test_probe_from_step_dir(tmp_path, curated, rewired):
                  "--out", str(out)])
     assert code == 0
     assert "@step20" in read_manifest(out)["config"]["model"]
+
+
+def _truncate_weights(ckpt: Path) -> str:
+    path = ckpt / "w_in.npy"
+    path.write_bytes(path.read_bytes()[:200])
+    return "w_in.npy"
+
+
+def _garble_weights(ckpt: Path) -> str:
+    (ckpt / "block_00.npy").write_bytes(b"not an array" * 20)
+    return "block_00.npy"
+
+
+def _sidecar_not_json(ckpt: Path) -> str:
+    path = ckpt / "sidecar.json"
+    path.write_text(path.read_text()[:-20])
+    return "sidecar.json"
+
+
+def _sidecar_missing_key(ckpt: Path) -> str:
+    path = ckpt / "sidecar.json"
+    sidecar = json.loads(path.read_text())
+    del sidecar["step"]
+    path.write_text(json.dumps(sidecar))
+    return "'step'"
+
+
+@pytest.mark.parametrize("damage", [_truncate_weights, _garble_weights,
+                                    _sidecar_not_json, _sidecar_missing_key],
+                         ids=["truncated-npy", "corrupt-npy", "sidecar-not-json",
+                              "sidecar-missing-key"])
+def test_probe_damaged_checkpoint_exits_one(tmp_path, curated, rewired, capsys, damage):
+    ckpt = tmp_path / "step_00010"
+    shutil.copytree(rewired / "checkpoints" / "step_00010", ckpt)
+    culprit = damage(ckpt)
+    code = main(["probe", "--checkpoint", str(ckpt),
+                 "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--strategy", "contrastive",
+                 "--out", str(tmp_path / "probe")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("probeforge: error: ")
+    assert culprit in err
+    assert "Traceback" not in err
 
 
 def test_probe_needs_encoder_or_checkpoint(curated, capsys):

@@ -1,8 +1,12 @@
 import filecmp
 import json
+import sys
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeforge.encoders import (
     ReferenceEncoder,
@@ -14,7 +18,7 @@ from probeforge.encoders import (
     mlm_from_spec,
     save_checkpoint,
 )
-from probeforge.errors import ConfigurationError, ValidationError
+from probeforge.errors import ConfigurationError, InputError, ValidationError
 
 TEXTS = ["Entecavir might treat [MASK] .", "Hepatitis B", "silent gene", "listen gene"]
 
@@ -88,6 +92,53 @@ def test_single_character_text_encodes():
     vec = small_encoder().encode(["a"])
     assert np.isfinite(vec).all()
     assert np.linalg.norm(vec) > 0
+
+
+def dense_features(texts, feature_dim):
+    # the original featurization: one dense count row per text, normalized
+    rows = np.empty((len(texts), feature_dim))
+    for i, text in enumerate(texts):
+        counts = np.zeros(feature_dim)
+        padded = "\x02" + text.lower() + "\x03"
+        for j in range(len(padded) - 2):
+            counts[zlib.crc32(padded[j:j + 3].encode("utf-8")) % feature_dim] += 1.0
+        rows[i] = counts / np.linalg.norm(counts)
+    return rows
+
+
+FEATURE_TEXTS = st.one_of(
+    st.text(min_size=1, max_size=1),
+    st.text(min_size=1, max_size=40),
+    # repeated trigrams give counts above one in a bucket
+    st.builds(lambda unit, times: unit * times,
+              st.text(min_size=1, max_size=3), st.integers(2, 12)),
+)
+
+
+@given(st.lists(FEATURE_TEXTS, min_size=1, max_size=10),
+       st.lists(FEATURE_TEXTS, max_size=6),
+       st.sampled_from([16, 128, 2048]))
+@settings(max_examples=150, deadline=None)
+def test_sparse_features_are_bit_identical_to_dense_rows(first, second, feature_dim):
+    enc = ReferenceEncoder(dim=4, seed=0, layers=1, feature_dim=feature_dim)
+    # a second call mixes cached texts, new texts and repeats
+    for texts in (first, second + first[::-1] + second):
+        got = enc._features(texts)
+        want = dense_features(texts, feature_dim)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_feature_cache_entry_is_sparse():
+    enc = ReferenceEncoder(dim=16, seed=0, layers=1, feature_dim=2048)
+    text = "Entecavir may prevent hepatitis B reactivation in carriers [MASK] ."
+    enc.encode([text])
+    buckets, values = enc._feat_cache[text]
+    assert len(buckets) == len(values) <= len(text)
+    size = sum(sys.getsizeof(arr) + arr.nbytes for arr in (buckets, values))
+    # a dense float64 row would take feature_dim * 8 bytes; the entry
+    # (both arrays, their headers and buffers) must take under an eighth
+    assert size < enc.feature_dim * 8 // 8
 
 
 def test_training_step_changes_outputs_and_identity():
@@ -169,6 +220,22 @@ def test_checkpoint_bytes_reproducible(tmp_path):
 
 def test_load_checkpoint_rejects_non_checkpoint(tmp_path):
     with pytest.raises(ConfigurationError):
+        load_checkpoint(tmp_path)
+
+
+def test_load_checkpoint_rejects_bad_sidecar_config(tmp_path):
+    save_checkpoint(small_encoder(), tmp_path)
+    sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+    sidecar["config"]["width"] = 3
+    (tmp_path / "sidecar.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValidationError, match="bad config"):
+        load_checkpoint(tmp_path)
+
+
+def test_load_checkpoint_rejects_unreadable_sidecar(tmp_path):
+    save_checkpoint(small_encoder(), tmp_path)
+    (tmp_path / "sidecar.json").write_bytes(b"\xff\xfe{")
+    with pytest.raises(InputError, match="sidecar"):
         load_checkpoint(tmp_path)
 
 

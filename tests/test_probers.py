@@ -1,11 +1,16 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from probeforge import probers
 from probeforge.curator import ProbeQuery
 from probeforge.encoders import (
+    EncoderHandle,
     GeneratorHandle,
     ReferenceEncoder,
     TableGenerator,
@@ -172,6 +177,104 @@ def test_positive_scaling_keeps_rankings():
         assert [c for c, _ in a.candidates] == [c for c, _ in b.candidates]
         for (_, sa), (_, sb) in zip(a.candidates, b.candidates):
             assert sa == pytest.approx(sb, abs=1e-9)
+
+
+class TableEncoder(EncoderHandle):
+    """Returns a fixed vector per text, so every score is known exactly."""
+
+    identity = "table-encoder"
+    max_layers = 1
+
+    def __init__(self, table):
+        self.table = table
+        self.embedding_dim = len(next(iter(table.values())))
+
+    def encode(self, texts, layer_limit=None):
+        return np.array([self.table[t] for t in texts], dtype=float)
+
+    def forward_train(self, texts, layer_limit=None):
+        raise NotImplementedError
+
+    def backward_train(self, grad_outputs, learning_rate):
+        raise NotImplementedError
+
+    def state_arrays(self):
+        return {}
+
+    def load_state_arrays(self, arrays):
+        raise NotImplementedError
+
+
+@st.composite
+def tie_heavy_retrieval(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    # signed one-hot entity rows: many exact duplicates, and every score is
+    # one coordinate of the unit query, so it is exact in any summation order
+    axes = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.sampled_from([1.0, -1.0])),
+                         min_size=n, max_size=n))
+    rows_per_block = draw(st.integers(1, 4))
+    n_queries = draw(st.integers(1, 3 * rows_per_block + 1))
+    vectors = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+        min_size=n_queries, max_size=n_queries))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(n + 1, n + 5), st.integers(1, n)))
+    return axes, rows_per_block, vectors, k
+
+
+@given(tie_heavy_retrieval())
+@settings(max_examples=200, deadline=None)
+def test_blocked_topk_equals_exhaustive_oracle(case):
+    axes, rows_per_block, vectors, k = case
+    dim = len(vectors[0])
+    names = tuple(f"entity {i}" for i in range(len(axes)))
+    index_rows = np.zeros((len(axes), dim))
+    for i, (axis, sign) in enumerate(axes):
+        index_rows[i, axis] = sign
+    encoder = TableEncoder({f"query {i}": v for i, v in enumerate(vectors)})
+    index = EntityIndex(names, index_rows, encoder.identity, 1)
+    queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(len(vectors))]
+    # query blocks of at most rows_per_block rows, so runs straddle them
+    with mock.patch.object(probers, "BLOCK_BYTES", 8 * len(axes) * rows_per_block):
+        predictions = contrastive_probe(encoder, index, queries, k=k)
+    assert [p.query_id for p in predictions] == [q.query_id for q in queries]
+    for pred, vector in zip(predictions, vectors):
+        norm = math.sqrt(sum(x * x for x in vector))
+        scores = [sign * (vector[axis] / norm) for axis, sign in axes]
+        order = sorted(range(len(axes)), key=lambda j: (-scores[j], j))[:k]
+        assert pred.candidates == tuple((names[j], scores[j]) for j in order)
+
+
+def test_blocks_are_near_equal_and_bounded():
+    with mock.patch.object(probers, "BLOCK_BYTES", 8 * 100 * 4):
+        blocks = probers._blocks(9, 100)
+        assert [(b.start, b.stop) for b in blocks] == [(0, 3), (3, 6), (6, 9)]
+        assert probers._blocks(0, 100) == []
+        assert [b.stop - b.start for b in probers._blocks(5, 1000)] == [1] * 5
+
+
+def test_blocking_keeps_index_and_rankings():
+    names = [f"entity {i} variant {i * 7 % 13}" for i in range(40)]
+    queries = [make_query(f"finding {i} links to [MASK] .", qid=f"q-{i}") for i in range(25)]
+    whole_index = build_entity_index(make_encoder(), names)
+    whole = contrastive_probe(make_encoder(), whole_index, queries, k=12)
+    # 512-wide feature rows: eight names or queries per block
+    with mock.patch.object(probers, "BLOCK_BYTES", 8 * 512 * 8):
+        blocked_index = build_entity_index(make_encoder(), names)
+        blocked = contrastive_probe(make_encoder(), blocked_index, queries, k=12)
+    # BLAS may round a short block differently, so floats are compared to
+    # within rounding; the rankings must agree exactly
+    np.testing.assert_allclose(blocked_index.vectors, whole_index.vectors, rtol=0, atol=1e-12)
+    for a, b in zip(blocked, whole):
+        assert [c for c, _ in a.candidates] == [c for c, _ in b.candidates]
+        np.testing.assert_allclose([s for _, s in a.candidates],
+                                   [s for _, s in b.candidates], rtol=0, atol=1e-12)
+
+
+def test_index_rejects_non_finite_rows():
+    vectors = np.array([[1.0, 0.0], [np.nan, 0.0]])
+    with pytest.raises(ValidationError, match="unit norm"):
+        EntityIndex(("a", "b"), vectors, "enc", 1)
 
 
 def test_bad_k_and_empty_queries():

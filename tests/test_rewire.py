@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probeforge import rewire
 from probeforge.encoders import ReferenceEncoder, load_checkpoint
 from probeforge.errors import (
     ConfigurationError,
@@ -338,6 +339,22 @@ def test_training_is_deterministic(tmp_path):
         for f in sorted((tmp_path / "a" / "checkpoints" / name).iterdir()):
             other = tmp_path / "b" / "checkpoints" / name / f.name
             assert f.read_bytes() == other.read_bytes(), f.name
+
+
+def test_pairs_are_truncated_once_per_run(monkeypatch):
+    calls = []
+
+    def counting_truncate(text, max_tokens):
+        calls.append(text)
+        return " ".join(text.split()[:max_tokens])
+
+    monkeypatch.setattr(rewire, "truncate_tokens", counting_truncate)
+    pairs = toy_pairs()
+    counted = rewire_train(toy_encoder(), pairs, quick_config(steps=12, max_query_tokens=3))
+    assert len(calls) == 2 * len(pairs)
+    monkeypatch.undo()
+    plain = rewire_train(toy_encoder(), pairs, quick_config(steps=12, max_query_tokens=3))
+    assert counted.trace == plain.trace
 
 
 def test_loss_strictly_decreases_on_fixed_batch():
