@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .curator import (ProbeQuery, default_templates, group_queries,
@@ -23,17 +22,16 @@ from .encoders import (EncoderHandle, encoder_from_spec, generator_from_spec,
                        load_checkpoint, mlm_from_spec)
 from .errors import (ConfigurationError, InputError, ProbeforgeError,
                      ValidationError)
-from .evaluation import (EvalReport, RescoreResult, StabilitySummary,
-                         aggregate, bin_by_answer_length, expert_rescore,
-                         load_annotations, save_report, score_predictions,
-                         stability_summary, step_curves, write_layer_sweep_csv,
+from .evaluation import (EvalReport, RescoreResult, aggregate, bin_by_answer_length,
+                         expert_rescore, load_annotations, save_report,
+                         score_predictions, stability_summary, step_curves,
                          write_report_csv, write_step_curves_csv)
 from .probers import (DEFAULT_NUM_MASKS, MASK_STRATEGIES, RankedPrediction,
                       build_entity_index, contrastive_probe, generate_probe,
                       load_entities, load_predictions, mask_average_rank,
                       mask_predict_detail, save_predictions)
 from .rewire import MaskedPair, RewireConfig, rewire_train, sample_sentences, tail_mask
-from .text import collapse_norm
+from .text import collapse_norm, write_csv
 
 CACHE_ENV = "PROBEFORGE_CACHE"
 PROBE_STRATEGIES = ("contrastive", "mask-predict", "mask-average", "generate")
@@ -102,13 +100,6 @@ def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
             f"{flag}: expected comma-separated integers, got {raw!r}") from None
 
 
-def _by_relation(queries: Sequence[ProbeQuery]):
-    grouped: dict[str, list[ProbeQuery]] = {}
-    for q in queries:
-        grouped.setdefault(q.relation_id, []).append(q)
-    return grouped.items()
-
-
 def _relation_candidates(rel_queries: Sequence[ProbeQuery]) -> list[str]:
     """Gold answers of one relation, deduplicated in first-appearance order."""
     names: list[str] = []
@@ -172,11 +163,8 @@ def cmd_curate(args: argparse.Namespace) -> int:
         row = counts.setdefault(q.relation_id, [0, 0])
         row[0] += 1
         row[1] += int(q.hard)
-    with open(out / "stats.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relation_id", "full_count", "hard_count"])
-        for rel, (full_count, hard_count) in counts.items():
-            writer.writerow([rel, full_count, hard_count])
+    write_csv(out / "stats.csv", ["relation_id", "full_count", "hard_count"],
+              ([rel, *row] for rel, row in counts.items()))
 
     _write_manifest(
         out, "curate",
@@ -233,22 +221,34 @@ def _contrastive_encoder(args: argparse.Namespace) -> EncoderHandle:
     raise AssertionError("unreachable")
 
 
-def _probe_contrastive(args, queries: Sequence[ProbeQuery]):
-    encoder = _contrastive_encoder(args)
+def _probe_in_scope(args, queries: Sequence[ProbeQuery],
+                    rank: Callable[[list[str], list[ProbeQuery]], list[RankedPrediction]]
+                    ) -> list[RankedPrediction]:
+    """rank(names, queries) each query against its candidate scope, in input
+    order: the --entities names, or the gold answers of the query's relation."""
     if args.candidate_scope == "full":
         if not args.entities:
             args._parser.error("--entities is required with --candidate-scope full")
-        names = load_entities(args.entities)
-        index = build_entity_index(encoder, names, layer_limit=args.layer_limit)
-        return contrastive_probe(encoder, index, queries, args.k), encoder.identity
+        return rank(load_entities(args.entities), queries)
+    by_relation: dict[str, list[ProbeQuery]] = {}
+    for q in queries:
+        by_relation.setdefault(q.relation_id, []).append(q)
     predictions = []
-    for _, rel_queries in _by_relation(queries):
-        index = build_entity_index(encoder, _relation_candidates(rel_queries),
-                                   layer_limit=args.layer_limit)
-        predictions.extend(contrastive_probe(encoder, index, rel_queries, args.k))
+    for rel_queries in by_relation.values():
+        predictions.extend(rank(_relation_candidates(rel_queries), rel_queries))
     order = {q.query_id: i for i, q in enumerate(queries)}
     predictions.sort(key=lambda p: order[p.query_id])
-    return predictions, encoder.identity
+    return predictions
+
+
+def _probe_contrastive(args, queries: Sequence[ProbeQuery]):
+    encoder = _contrastive_encoder(args)
+
+    def rank(names, group):
+        index = build_entity_index(encoder, names, layer_limit=args.layer_limit)
+        return contrastive_probe(encoder, index, group, args.k)
+
+    return _probe_in_scope(args, queries, rank), encoder.identity
 
 
 def _probe_mask_predict(args, queries: Sequence[ProbeQuery]):
@@ -267,20 +267,11 @@ def _probe_mask_predict(args, queries: Sequence[ProbeQuery]):
 
 def _probe_mask_average(args, queries: Sequence[ProbeQuery]):
     mlm = mlm_from_spec(args.encoder)
-    if args.candidate_scope == "full":
-        if not args.entities:
-            args._parser.error("--entities is required with --candidate-scope full")
-        names = load_entities(args.entities)
-        preds = [mask_average_rank(mlm, q, names, args.k) for q in queries]
-        return preds, mlm.identity
-    predictions = []
-    for _, rel_queries in _by_relation(queries):
-        candidates = _relation_candidates(rel_queries)
-        predictions.extend(mask_average_rank(mlm, q, candidates, args.k)
-                           for q in rel_queries)
-    order = {q.query_id: i for i, q in enumerate(queries)}
-    predictions.sort(key=lambda p: order[p.query_id])
-    return predictions, mlm.identity
+
+    def rank(names, group):
+        return [mask_average_rank(mlm, q, names, args.k) for q in group]
+
+    return _probe_in_scope(args, queries, rank), mlm.identity
 
 
 def _probe_generate(args, queries: Sequence[ProbeQuery]):
@@ -332,13 +323,10 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # eval
 
 def _write_bins_csv(bins, k_values: Sequence[int], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "count", *[f"acc{k}" for k in k_values]])
-        for row in bins:
-            cells = ["" if row.acc[k] is None else f"{row.acc[k]:.6f}"
-                     for k in k_values]
-            writer.writerow([row.label, row.count, *cells])
+    write_csv(path, ["bin", "count", *[f"acc{k}" for k in k_values]],
+              ([row.label, row.count,
+                *["" if row.acc[k] is None else f"{row.acc[k]:.6f}" for k in k_values]]
+               for row in bins))
 
 
 def _write_rescore_json(result: RescoreResult, path) -> None:
@@ -424,6 +412,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+def _sweep_point(axis: str, config: RewireConfig, probe_step: int, value):
+    """Training config, probe step, layer limit and report metadata of one value."""
+    if axis == "layer":
+        return config, probe_step, value, {}
+    if axis == "mask-ratio":
+        return replace(config, mask_ratio=value), probe_step, None, {}
+    if axis == "checkpoint-step":
+        return config, value, None, {"checkpoint_step": value}
+    return replace(config, seed=value), probe_step, None, {"seed": value}
+
+
 def _parse_axis_values(axis: str, raw: str):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -435,6 +434,12 @@ def _parse_axis_values(axis: str, raw: str):
             f"--values: could not parse {raw!r} for axis {axis}") from None
     if len(set(values)) != len(values):
         raise ConfigurationError(f"--values contains duplicates: {raw!r}")
+    if axis == "layer" and min(values) < 1:
+        raise ConfigurationError("layer sweep values must be >= 1")
+    if axis == "seed" and len(values) < 2:
+        raise ConfigurationError("seed sweep needs at least two values")
+    if axis in ("checkpoint-step", "seed") and min(values) < 0:
+        raise ConfigurationError(f"{axis} values must be >= 0")
     return values
 
 
@@ -446,16 +451,6 @@ def _run_jobs(jobs, workers: int):
         return [future.result() for future in [pool.submit(j) for j in jobs]]
 
 
-def _trained_encoder(encoder_spec: str, corpus, config: RewireConfig,
-                     steps: int) -> EncoderHandle:
-    encoder = encoder_from_spec(encoder_spec)
-    if steps > 0:
-        pairs = _masked_pairs(corpus, config)
-        rewire_train(encoder, pairs, replace(config, steps=steps,
-                                             checkpoint_every=0))
-    return encoder
-
-
 def _sweep_report(encoder: EncoderHandle, queries, entity_names, layer_limit,
                   k_values, metadata) -> EvalReport:
     index = build_entity_index(encoder, entity_names, layer_limit=layer_limit)
@@ -465,27 +460,50 @@ def _sweep_report(encoder: EncoderHandle, queries, entity_names, layer_limit,
                      strategy="contrastive", split="full", metadata=metadata)
 
 
-def _write_ratio_sweep_csv(rows: Sequence[tuple[float, float, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mask_ratio", "macro_acc1", "macro_acc10"])
-        for ratio, acc1, acc10 in rows:
-            writer.writerow([f"{ratio:g}", f"{acc1:.6f}", f"{acc10:.6f}"])
+def _sweep_group(args, config: RewireConfig, points, queries, entity_names,
+                 k_values) -> dict[int, EvalReport | None]:
+    """Report of each (step, position, layer limit, metadata) point, by position.
+
+    Points that share a training config share one encoder, trained once
+    through their steps in ascending order and probed as it reaches each.
+    Resuming rewire_train at start_step reproduces the uninterrupted run, so
+    each point sees the state a fresh run to its step ends in. A point whose
+    layer limit exceeds the encoder's depth is skipped (None).
+    """
+    encoder = encoder_from_spec(args.encoder)
+    pairs, trained, reports = None, 0, {}
+    for step, i, layer_limit, metadata in sorted(points, key=lambda p: p[:2]):
+        if step > trained:
+            if pairs is None:
+                pairs = _masked_pairs(args.corpus, config)
+            rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0),
+                         start_step=trained)
+            trained = step
+        deep_enough = layer_limit is None or layer_limit <= encoder.max_layers
+        reports[i] = (_sweep_report(encoder, queries, entity_names, layer_limit,
+                                    k_values, metadata) if deep_enough else None)
+    return reports
 
 
-def _write_stability_csv(summary: StabilitySummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relation_id", "acc1_mean", "acc1_std",
-                         "acc10_mean", "acc10_std"])
-        def cells(stats_by_k):
-            out = []
-            for k in (1, 10):
-                out += [f"{stats_by_k[k].mean:.6f}", f"{stats_by_k[k].std:.6f}"]
-            return out
-        for rel, stats_by_k in summary.per_relation.items():
-            writer.writerow([rel, *cells(stats_by_k)])
-        writer.writerow(["macro", *cells(summary.macro)])
+def _write_sweep_csv(axis: str, values, reports: list[EvalReport], out: Path) -> str:
+    """Write the axis table of reports (in value order) and return its name."""
+    if axis == "checkpoint-step":
+        write_step_curves_csv(step_curves(reports, k=1), out / "step_curves.csv")
+        return "step_curves.csv"
+    if axis == "seed":
+        summary = stability_summary(reports)
+        write_csv(out / "stability.csv",
+                  ["relation_id", "acc1_mean", "acc1_std", "acc10_mean", "acc10_std"],
+                  ([rel, *(f"{v:.6f}" for k in (1, 10) for v in stats[k])]
+                   for rel, stats in [*summary.per_relation.items(),
+                                      ("macro", summary.macro)]))
+        return "stability.csv"
+    name, column = (("layer_sweep.csv", "layer_limit") if axis == "layer"
+                    else ("mask_ratio_sweep.csv", "mask_ratio"))
+    write_csv(out / name, [column, "macro_acc1", "macro_acc10"],
+              ([f"{v:g}", f"{r.macro[1]:.6f}", f"{r.macro[10]:.6f}"]
+               for v, r in zip(values, reports)))
+    return name
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -505,63 +523,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     probe_step = (config.probe_checkpoint_step
                   if 0 < config.probe_checkpoint_step <= config.steps
                   else config.steps)
-    skipped: list = []
 
-    if args.axis == "layer":
-        if any(v < 1 for v in values):
-            raise ConfigurationError("layer sweep values must be >= 1")
-        encoder = _trained_encoder(args.encoder, args.corpus, config, probe_step)
-        available = [v for v in values if v <= encoder.max_layers]
-        skipped = [v for v in values if v > encoder.max_layers]
-        jobs = [lambda L=L: (L, _sweep_report(encoder, queries, entity_names,
-                                              L, k_values, {}))
-                for L in available]
-        results = _run_jobs(jobs, args.workers)
-        rows = [(L, rep.macro[1], rep.macro[10]) for L, rep in results]
-        out.mkdir(parents=True, exist_ok=True)
-        write_layer_sweep_csv(rows, out / "layer_sweep.csv")
-        merged = "layer_sweep.csv"
-    elif args.axis == "mask-ratio":
-        jobs = []
-        for ratio in values:
-            cfg = replace(config, mask_ratio=ratio)
-            jobs.append(lambda cfg=cfg, ratio=ratio: (
-                ratio, _sweep_report(
-                    _trained_encoder(args.encoder, args.corpus, cfg, probe_step),
-                    queries, entity_names, None, k_values, {})))
-        results = _run_jobs(jobs, args.workers)
-        rows = [(ratio, rep.macro[1], rep.macro[10]) for ratio, rep in results]
-        out.mkdir(parents=True, exist_ok=True)
-        _write_ratio_sweep_csv(rows, out / "mask_ratio_sweep.csv")
-        merged = "mask_ratio_sweep.csv"
-    elif args.axis == "checkpoint-step":
-        if any(v < 0 for v in values):
-            raise ConfigurationError("checkpoint-step values must be >= 0")
-        jobs = [lambda s=s: _sweep_report(
-                    _trained_encoder(args.encoder, args.corpus, config, s),
-                    queries, entity_names, None, k_values,
-                    {"checkpoint_step": s})
-                for s in values]
-        reports = _run_jobs(jobs, args.workers)
-        out.mkdir(parents=True, exist_ok=True)
-        write_step_curves_csv(step_curves(reports, k=1), out / "step_curves.csv")
-        merged = "step_curves.csv"
-    else:
-        if len(values) < 2:
-            raise ConfigurationError("seed sweep needs at least two values")
-        if any(v < 0 for v in values):
-            raise ConfigurationError("seed values must be >= 0")
-        jobs = []
-        for seed in values:
-            cfg = replace(config, seed=seed)
-            jobs.append(lambda cfg=cfg, seed=seed: _sweep_report(
-                _trained_encoder(args.encoder, args.corpus, cfg, probe_step),
-                queries, entity_names, None, k_values, {"seed": seed}))
-        reports = _run_jobs(jobs, args.workers)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_stability_csv(stability_summary(reports), out / "stability.csv")
-        merged = "stability.csv"
+    groups: dict[tuple, tuple[RewireConfig, list]] = {}
+    for i, value in enumerate(values):
+        cfg, step, layer_limit, metadata = _sweep_point(args.axis, config, probe_step, value)
+        groups.setdefault(astuple(cfg), (cfg, []))[1].append((step, i, layer_limit, metadata))
+    jobs = [lambda g=g: _sweep_group(args, *g, queries, entity_names, k_values)
+            for g in groups.values()]
+    reports = {}
+    for group_reports in _run_jobs(jobs, args.workers):
+        reports.update(group_reports)
+    kept = [i for i in range(len(values)) if reports[i] is not None]
+    skipped = [v for i, v in enumerate(values) if reports[i] is None]
 
+    out.mkdir(parents=True, exist_ok=True)
+    merged = _write_sweep_csv(args.axis, [values[i] for i in kept],
+                              [reports[i] for i in kept], out)
     _write_manifest(
         out, "sweep",
         config={"axis": args.axis, "values": values, "skipped_values": skipped,
@@ -571,7 +548,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "config": args.config, "dataset": args.dataset,
                 "entities": args.entities},
         outputs=[merged], seed=config.seed, started_at=started, t0=t0)
-    print(f"sweep[{args.axis}]: {len(values) - len(skipped)} runs -> {out / merged}")
+    print(f"sweep[{args.axis}]: {len(kept)} runs -> {out / merged}")
     return 0
 
 
@@ -660,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dataset", required=True, help="query JSONL")
     sweep.add_argument("--entities", required=True)
     sweep.add_argument("--workers", type=int, default=1,
-                       help="parallel sub-jobs (default: sequential)")
+                       help="distinct training configs (mask ratios, seeds) to "
+                            "train in parallel (default: sequential)")
     _add_out(sweep)
     sweep.set_defaults(func=cmd_sweep, _command="sweep", _parser=sweep)
     return parser

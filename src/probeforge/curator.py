@@ -24,7 +24,7 @@ from .errors import (
     InputError,
     ValidationError,
 )
-from .text import collapse_norm, contains_contiguous, metric_tokens
+from .text import collapse_norm, contains_contiguous, metric_tokens, read_jsonl
 
 MASK_PLACEHOLDER = "[MASK]"
 MAX_GOLD_ANSWERS = 10
@@ -97,7 +97,7 @@ def _iter_lines(source) -> Iterator[str]:
         try:
             with open(source, encoding="utf-8") as fh:
                 yield from fh
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read triples from {source}: {exc}") from exc
     else:
         yield from source
@@ -140,7 +140,7 @@ def load_templates(path) -> dict[str, PromptTemplate]:
     """Load a template registry from a JSON array of template records."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read templates from {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
@@ -342,41 +342,28 @@ def load_dataset(path, mask_placeholder: str = MASK_PLACEHOLDER) -> list[ProbeQu
     An empty file is a valid empty dataset.
     """
     queries = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read dataset from {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-            try:
-                query_id = rec["query_id"]
-                relation_id = rec["relation_id"]
-                head_name = rec["head_name"]
-                query_text = rec["query_text"]
-                answers = rec["answers"]
-                hard = rec["hard"]
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-            if (not isinstance(query_id, str) or not isinstance(relation_id, str)
-                    or not isinstance(head_name, str) or not isinstance(query_text, str)
-                    or not isinstance(hard, bool) or not isinstance(answers, list)
-                    or not all(isinstance(a, str) for a in answers)):
-                raise ValidationError(f"{path}:{lineno}: field has wrong type")
-            if query_text.count(mask_placeholder) != 1:
-                raise ValidationError(
-                    f"{path}:{lineno}: query_text must contain {mask_placeholder!r} exactly once"
-                )
-            try:
-                queries.append(ProbeQuery(query_id, relation_id, head_name,
-                                          query_text, answers, hard))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, rec in read_jsonl(path, "dataset"):
+        try:
+            query_id = rec["query_id"]
+            relation_id = rec["relation_id"]
+            head_name = rec["head_name"]
+            query_text = rec["query_text"]
+            answers = rec["answers"]
+            hard = rec["hard"]
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+        if (not isinstance(query_id, str) or not isinstance(relation_id, str)
+                or not isinstance(head_name, str) or not isinstance(query_text, str)
+                or not isinstance(hard, bool) or not isinstance(answers, list)
+                or not all(isinstance(a, str) for a in answers)):
+            raise ValidationError(f"{path}:{lineno}: field has wrong type")
+        if query_text.count(mask_placeholder) != 1:
+            raise ValidationError(
+                f"{path}:{lineno}: query_text must contain {mask_placeholder!r} exactly once"
+            )
+        try:
+            queries.append(ProbeQuery(query_id, relation_id, head_name,
+                                      query_text, answers, hard))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return queries

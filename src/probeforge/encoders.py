@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import zlib
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -320,6 +322,25 @@ def load_checkpoint(ckpt_dir) -> EncoderHandle:
     return encoder
 
 
+@contextmanager
+def _table_fields(path, what: str) -> Iterator[dict]:
+    """The JSON object of a table-model file, for a block that reads its fields.
+    A file that cannot be read as JSON raises InputError; a non-object, or a
+    field the block finds missing or mistyped, raises ValidationError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    try:
+        yield data
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # masked-LM head
 
@@ -425,11 +446,11 @@ class TableMLM(MLMHeadHandle):
 
     @classmethod
     def from_json(cls, path) -> "TableMLM":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(vocab=data["vocab"], default=data["default"],
-                   rules=data.get("rules", ()),
-                   mask_token=data.get("mask_token", "[MASK]"),
-                   identity=f"table-mlm:{Path(path).name}")
+        with _table_fields(path, "MLM table") as data:
+            return cls(vocab=data["vocab"], default=data["default"],
+                       rules=data.get("rules", ()),
+                       mask_token=data.get("mask_token", "[MASK]"),
+                       identity=f"table-mlm:{Path(path).name}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +488,10 @@ class TableGenerator(GeneratorHandle):
 
     @classmethod
     def from_json(cls, path) -> "TableGenerator":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(default=data["default"], by_query=data.get("by_query"),
-                   max_new_tokens=data.get("max_new_tokens", 16),
-                   identity=f"table-generator:{Path(path).name}")
+        with _table_fields(path, "generator table") as data:
+            return cls(default=data["default"], by_query=data.get("by_query"),
+                       max_new_tokens=data.get("max_new_tokens", 16),
+                       identity=f"table-generator:{Path(path).name}")
 
 
 # ---------------------------------------------------------------------------

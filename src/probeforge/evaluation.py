@@ -12,6 +12,7 @@ fixed entity vocabulary.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from bisect import bisect_right
@@ -24,7 +25,7 @@ import numpy as np
 from .curator import ProbeQuery
 from .errors import InputError, ValidationError
 from .probers import RankedPrediction
-from .text import match_norm
+from .text import match_norm, write_csv
 
 DEFAULT_K_VALUES = (1, 10)
 PERFECT_SCORE = 5
@@ -297,38 +298,35 @@ class ExpertAnnotation:
 
 
 def save_annotations(annotations: Iterable[ExpertAnnotation], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "candidate", "score"])
-        for ann in annotations:
-            writer.writerow([ann.query_id, ann.candidate, ann.score])
+    write_csv(path, ["query_id", "candidate", "score"],
+              ([ann.query_id, ann.candidate, ann.score] for ann in annotations))
 
 
 def load_annotations(path) -> list[ExpertAnnotation]:
     try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read annotations from {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["query_id", "candidate", "score"]:
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != ["query_id", "candidate", "score"]:
+        raise ValidationError(
+            f"{path}: expected header query_id,candidate,score, "
+            f"got {reader.fieldnames}"
+        )
+    annotations = []
+    for row in reader:
+        try:
+            score = int(row["score"])
+        except (TypeError, ValueError):
             raise ValidationError(
-                f"{path}: expected header query_id,candidate,score, "
-                f"got {reader.fieldnames}"
-            )
-        annotations = []
-        for row in reader:
-            try:
-                score = int(row["score"])
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"{path}:{reader.line_num}: score {row['score']!r} is not an integer"
-                ) from None
-            try:
-                annotations.append(ExpertAnnotation(row["query_id"],
-                                                    row["candidate"], score))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
+                f"{path}:{reader.line_num}: score {row['score']!r} is not an integer"
+            ) from None
+        try:
+            annotations.append(ExpertAnnotation(row["query_id"],
+                                                row["candidate"], score))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
     return annotations
 
 
@@ -457,7 +455,7 @@ def save_report(report: EvalReport, path) -> None:
 def load_report(path) -> EvalReport:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read report from {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
@@ -480,27 +478,12 @@ def load_report(path) -> EvalReport:
 
 def write_report_csv(report: EvalReport, path) -> None:
     """Flat per-relation table: relation_id, count, then one acc column per k."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relation_id", "count",
-                         *[f"acc{k}" for k in report.k_values]])
-        for rel, score in report.per_relation.items():
-            writer.writerow([rel, score.count,
-                             *[f"{score.acc[k]:.6f}" for k in report.k_values]])
-
-
-def write_layer_sweep_csv(rows: Sequence[tuple[int, float, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer_limit", "macro_acc1", "macro_acc10"])
-        for layer_limit, acc1, acc10 in rows:
-            writer.writerow([layer_limit, f"{acc1:.6f}", f"{acc10:.6f}"])
+    write_csv(path, ["relation_id", "count", *[f"acc{k}" for k in report.k_values]],
+              ([rel, score.count, *[f"{score.acc[k]:.6f}" for k in report.k_values]]
+               for rel, score in report.per_relation.items()))
 
 
 def write_step_curves_csv(rows: Sequence[StepCurveRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "relation_id", "acc1_mean", "acc1_std"])
-        for row in rows:
-            writer.writerow([row.step, row.relation_id,
-                             f"{row.mean:.6f}", f"{row.std:.6f}"])
+    write_csv(path, ["step", "relation_id", "acc1_mean", "acc1_std"],
+              ([row.step, row.relation_id, f"{row.mean:.6f}", f"{row.std:.6f}"]
+               for row in rows))

@@ -34,7 +34,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .text import collapse_norm
+from .text import collapse_norm, read_jsonl
 
 UNIT_NORM_TOL = 1e-6
 DEFAULT_NUM_MASKS = 5
@@ -150,7 +150,7 @@ def load_entities(path) -> list[str]:
     """One entity name per line; blank lines are skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read entities from {path}: {exc}") from exc
     return [line.strip() for line in text.splitlines() if line.strip()]
 
@@ -421,36 +421,23 @@ def save_predictions(predictions: Iterable[RankedPrediction], path) -> None:
 def load_predictions(path) -> list[RankedPrediction]:
     """Read predictions back, validating each line. Empty file is valid."""
     predictions = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read predictions from {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-            try:
-                query_id = rec["query_id"]
-                strategy = rec["strategy"]
-                candidates = rec["candidates"]
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-            if (not isinstance(query_id, str) or not isinstance(strategy, str)
-                    or not isinstance(candidates, list)
-                    or not all(isinstance(c, list) and len(c) == 2
-                               and isinstance(c[0], str)
-                               and isinstance(c[1], (int, float))
-                               for c in candidates)):
-                raise ValidationError(f"{path}:{lineno}: field has wrong type")
-            try:
-                predictions.append(RankedPrediction(
-                    query_id, tuple((c, s) for c, s in candidates), strategy))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, rec in read_jsonl(path, "predictions"):
+        try:
+            query_id = rec["query_id"]
+            strategy = rec["strategy"]
+            candidates = rec["candidates"]
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+        if (not isinstance(query_id, str) or not isinstance(strategy, str)
+                or not isinstance(candidates, list)
+                or not all(isinstance(c, list) and len(c) == 2
+                           and isinstance(c[0], str)
+                           and isinstance(c[1], (int, float))
+                           for c in candidates)):
+            raise ValidationError(f"{path}:{lineno}: field has wrong type")
+        try:
+            predictions.append(RankedPrediction(
+                query_id, tuple((c, s) for c, s in candidates), strategy))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return predictions

@@ -8,7 +8,6 @@ from everything else in the batch. Probing afterwards is pure retrieval.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -18,6 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .curator import MASK_PLACEHOLDER
 from .encoders import EncoderHandle, save_checkpoint
 from .errors import (
     ConfigurationError,
@@ -26,9 +26,8 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .text import truncate_tokens
+from .text import truncate_tokens, write_csv
 
-MASK_PLACEHOLDER = "[MASK]"
 _SENTENCE_END = ".!?"
 
 
@@ -81,14 +80,22 @@ class RewireConfig:
     def from_json(cls, path, **overrides) -> "RewireConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read config from {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path}: expected a JSON object")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in data.items():
+            # each field takes the type of its default; a float field also takes an int
+            kind = (int, float) if isinstance(defaults[key], float) else type(defaults[key])
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{path}: {key} must be of type "
+                                      f"{type(defaults[key]).__name__}, got {value!r}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
@@ -117,7 +124,7 @@ def sample_sentences(corpus, n: int, seed: int, min_words: int = 5,
         try:
             with open(corpus, encoding="utf-8") as fh:
                 return _reservoir(fh, n, seed, min_words, max_words)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read corpus from {corpus}: {exc}") from exc
     return _reservoir(corpus, n, seed, min_words, max_words)
 
@@ -255,11 +262,8 @@ def _batch_fingerprint(texts: list[str]) -> str:
 
 
 def write_loss_trace(trace: list[TraceRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss_sum", "loss_mean"])
-        for row in trace:
-            writer.writerow([row.step, f"{row.loss_sum:.8f}", f"{row.loss_mean:.8f}"])
+    write_csv(path, ["step", "loss_sum", "loss_mean"],
+              ([row.step, f"{row.loss_sum:.8f}", f"{row.loss_mean:.8f}"] for row in trace))
 
 
 def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,13 @@ import pytest
 import probeforge
 from probeforge.cli import main
 from probeforge.curator import load_dataset
-from probeforge.evaluation import ExpertAnnotation, load_report, save_annotations
-from probeforge.probers import RankedPrediction, load_predictions, save_predictions
+from probeforge.encoders import encoder_from_spec
+from probeforge.evaluation import (ExpertAnnotation, aggregate, load_report,
+                                   save_annotations, score_predictions, step_curves,
+                                   write_step_curves_csv)
+from probeforge.probers import (RankedPrediction, build_entity_index, contrastive_probe,
+                                load_entities, load_predictions, save_predictions)
+from probeforge.rewire import RewireConfig, rewire_train, sample_sentences, tail_mask
 
 FIXTURES = Path(probeforge.__file__).parent / "fixtures"
 TRIPLES = str(FIXTURES / "triples.tsv")
@@ -19,6 +25,7 @@ STUB_MLM = f"table-mlm:{FIXTURES / 'stub_mlm.json'}"
 STUB_GENERATOR = f"table-generator:{FIXTURES / 'stub_generator.json'}"
 
 ENCODER_SPEC = "reference:dim=32,seed=3,layers=2,feature_dim=512"
+DEMO_ENCODER_SPEC = "reference:dim=64,seed=7,layers=2,feature_dim=2048"
 
 SMALL_CONFIG = {
     "num_sentences": 60,
@@ -249,6 +256,79 @@ def test_probe_damaged_checkpoint_exits_one(tmp_path, curated, rewired, capsys, 
     assert "Traceback" not in err
 
 
+# ---------------------------------------------------------------------------
+# bad input files: each ends as one error line with exit 1
+
+NOT_UTF8 = b"head\xff\xfe\ttail\n"
+
+
+def _table_without(fixture: str, key: str) -> str:
+    table = json.loads((FIXTURES / fixture).read_text())
+    del table[key]
+    return json.dumps(table)
+
+
+def _mlm_rule_position(position) -> str:
+    table = json.loads((FIXTURES / "stub_mlm.json").read_text())
+    table["rules"][0]["position"] = position
+    return json.dumps(table)
+
+
+EVAL = ["eval", "--predictions", "{predictions}", "--dataset", "{dataset}"]
+BAD_CONFIG = ["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS, "--config", "{bad}"]
+
+BAD_INPUTS = {
+    # case -> (argv, content of the bad file; None: the file does not exist)
+    "eval:predictions-not-utf8": (
+        ["eval", "--predictions", "{bad}", "--dataset", "{dataset}"], NOT_UTF8),
+    "eval:dataset-not-utf8": (
+        ["eval", "--predictions", "{predictions}", "--dataset", "{bad}"], NOT_UTF8),
+    "eval:annotations-not-utf8": ([*EVAL, "--annotations", "{bad}"], NOT_UTF8),
+    "curate:triples-not-utf8": (["curate", "--triples", "{bad}"], NOT_UTF8),
+    "curate:templates-not-utf8": (
+        ["curate", "--triples", TRIPLES, "--templates", "{bad}"], NOT_UTF8),
+    "probe:entities-not-utf8": (
+        ["probe", "--encoder", ENCODER_SPEC, "--dataset", "{dataset}",
+         "--entities", "{bad}", "--strategy", "contrastive"], NOT_UTF8),
+    "rewire:corpus-not-utf8": (
+        ["rewire", "--encoder", ENCODER_SPEC, "--corpus", "{bad}", "--config", "{config}"],
+        NOT_UTF8),
+    "rewire-config:not-utf8": (BAD_CONFIG, NOT_UTF8),
+    "rewire-config:not-an-object": (BAD_CONFIG, "[]"),
+    "rewire-config:wrong-type": (BAD_CONFIG, json.dumps({**SMALL_CONFIG, "steps": "5"})),
+}
+for name, content in [("missing-file", None), ("not-json", "{not json"),
+                      ("no-default", _table_without("stub_mlm.json", "default")),
+                      ("no-vocab", _table_without("stub_mlm.json", "vocab")),
+                      ("bad-rule-position", _mlm_rule_position("first"))]:
+    BAD_INPUTS[f"table-mlm:{name}"] = (
+        ["probe", "--dataset", "{dataset}", "--strategy", "mask-predict",
+         "--encoder", "table-mlm:{bad}"], content)
+for name, content in [("missing-file", None), ("not-json", "[1, 2"),
+                      ("no-default", _table_without("stub_generator.json", "default"))]:
+    BAD_INPUTS[f"table-generator:{name}"] = (
+        ["probe", "--dataset", "{dataset}", "--strategy", "generate",
+         "--encoder", "table-generator:{bad}"], content)
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_file_exits_one(tmp_path, curated, probed, config_path, capsys, case):
+    argv, content = BAD_INPUTS[case]
+    bad = tmp_path / "bad_input"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    paths = {"bad": bad, "dataset": curated / "full.jsonl",
+             "predictions": probed / "predictions.jsonl", "config": config_path}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("probeforge: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "bad_input" in err
+
+
 def test_probe_needs_encoder_or_checkpoint(curated, capsys):
     code = main(["probe", "--dataset", str(curated / "full.jsonl"),
                  "--entities", ENTITIES, "--strategy", "contrastive",
@@ -419,6 +499,65 @@ def test_sweep_workers_do_not_change_output(tmp_path, curated, config_path):
         assert code == 0
         outs.append((out / "layer_sweep.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _sweep_argv(axis: str, values: str, curated: Path, config_path: str,
+                workers: str, out: Path, encoder: str = ENCODER_SPEC) -> list[str]:
+    return ["sweep", "--axis", axis, "--values", values,
+            "--encoder", encoder, "--corpus", CORPUS, "--config", config_path,
+            "--dataset", str(curated / "full.jsonl"), "--entities", ENTITIES,
+            "--workers", workers, "--out", str(out)]
+
+
+@pytest.mark.parametrize("axis, values", [("mask-ratio", "0.7,0.3"),
+                                          ("checkpoint-step", "20,0,10")])
+def test_sweep_training_axes_same_for_any_workers(tmp_path, curated, config_path,
+                                                  axis, values):
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(_sweep_argv(axis, values, curated, config_path, workers, out)) == 0
+        outs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_sweep_mask_ratio_axis(tmp_path, curated, config_path):
+    out = tmp_path / "ratios"
+    assert main(_sweep_argv("mask-ratio", "0.7,0.3", curated, config_path, "1", out)) == 0
+    with open(out / "mask_ratio_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["mask_ratio", "macro_acc1", "macro_acc10"]
+    assert [r[0] for r in rows[1:]] == ["0.7", "0.3"]
+    assert all(len(cell.split(".")[1]) == 6 for r in rows[1:] for cell in r[1:])
+    assert read_manifest(out)["outputs"] == ["mask_ratio_sweep.csv"]
+
+
+def test_sweep_checkpoint_steps_match_fresh_training(tmp_path, curated):
+    """Training once through the sorted steps gives, at each step, the
+    state that training a fresh encoder to that step gives."""
+    # the demo model, whose accuracy moves between these steps
+    spec, config_path = DEMO_ENCODER_SPEC, str(FIXTURES / "rewire_demo.json")
+    out = tmp_path / "steps"
+    assert main(_sweep_argv("checkpoint-step", "20,0,10", curated, config_path,
+                            "1", out, encoder=spec)) == 0
+    config = RewireConfig.from_json(config_path)
+    sentences = sample_sentences(CORPUS, config.num_sentences, seed=config.seed)
+    pairs = [p for p in (tail_mask(s, config.mask_ratio) for s in sentences)
+             if p is not None]
+    queries = load_dataset(curated / "full.jsonl")
+    reports = []
+    for step in (20, 0, 10):
+        encoder = encoder_from_spec(spec)
+        if step:
+            rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0))
+        index = build_entity_index(encoder, load_entities(ENTITIES))
+        hits = score_predictions(contrastive_probe(encoder, index, queries, 10), queries)
+        reports.append(aggregate(hits, (1, 10), model=encoder.identity,
+                                 strategy="contrastive",
+                                 metadata={"checkpoint_step": step}))
+    write_step_curves_csv(step_curves(reports, k=1), tmp_path / "oracle.csv")
+    assert ((out / "step_curves.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
 
 
 def test_sweep_checkpoint_step_axis(tmp_path, curated, config_path):

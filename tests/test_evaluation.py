@@ -1,11 +1,17 @@
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probeforge.curator import ProbeQuery
+import probeforge
+from probeforge.cli import main
+from probeforge.curator import (ProbeQuery, default_templates, group_queries,
+                                load_triples, save_dataset)
+from probeforge.encoders import encoder_from_spec
 from probeforge.errors import InputError, ValidationError
 from probeforge.evaluation import (
     EvalReport,
@@ -23,11 +29,18 @@ from probeforge.evaluation import (
     score_predictions,
     stability_summary,
     step_curves,
-    write_layer_sweep_csv,
     write_report_csv,
     write_step_curves_csv,
 )
-from probeforge.probers import RankedPrediction
+from probeforge.probers import (RankedPrediction, build_entity_index,
+                                contrastive_probe, load_entities)
+
+FIXTURES = Path(probeforge.__file__).parent / "fixtures"
+
+
+def read_csv(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def make_prediction(qid, names, strategy="contrastive"):
@@ -391,23 +404,41 @@ def test_report_csv_layout(tmp_path):
     report = aggregate(hits, k_values=(1, 10))
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
-    rows = list(csv.reader(path.open()))
+    rows = read_csv(path)
     assert rows[0] == ["relation_id", "count", "acc1", "acc10"]
     assert rows[1] == ["rel_a", "1", "1.000000", "1.000000"]
     assert rows[2] == ["rel_b", "1", "0.000000", "1.000000"]
 
 
 def test_sweep_csv_writers(tmp_path):
-    layer_path = tmp_path / "layers.csv"
-    write_layer_sweep_csv([(3, 0.1, 0.5), (12, 0.25, 0.75)], layer_path)
-    rows = list(csv.reader(layer_path.open()))
-    assert rows[0] == ["layer_limit", "macro_acc1", "macro_acc10"]
-    assert rows[1] == ["3", "0.100000", "0.500000"]
+    # the layer table comes from the sweep command; each row must hold the
+    # macro accuracy that library calls give at that layer limit
+    queries = group_queries(load_triples(FIXTURES / "triples.tsv").triples,
+                            default_templates())
+    dataset = tmp_path / "full.jsonl"
+    save_dataset(queries, dataset)
+    config = tmp_path / "rewire.json"
+    config.write_text(json.dumps({"steps": 0, "checkpoint_every": 0}))
+    spec = "reference:dim=16,seed=1,layers=3,feature_dim=256"
+    entities = str(FIXTURES / "entities.txt")
+    code = main(["sweep", "--axis", "layer", "--values", "3,1,4", "--encoder", spec,
+                 "--corpus", str(FIXTURES / "corpus.txt"), "--config", str(config),
+                 "--dataset", str(dataset), "--entities", entities,
+                 "--out", str(tmp_path / "sweep")])
+    assert code == 0
+    encoder = encoder_from_spec(spec)
+    expected = [["layer_limit", "macro_acc1", "macro_acc10"]]
+    for layer in (3, 1):
+        index = build_entity_index(encoder, load_entities(entities), layer_limit=layer)
+        hits = score_predictions(contrastive_probe(encoder, index, queries, 10), queries)
+        report = aggregate(hits, (1, 10))
+        expected.append([str(layer), f"{report.macro[1]:.6f}", f"{report.macro[10]:.6f}"])
+    assert read_csv(tmp_path / "sweep" / "layer_sweep.csv") == expected
 
     reports = [report_with_acc(0.2, step=50), report_with_acc(0.4, step=50)]
     step_path = tmp_path / "steps.csv"
     write_step_curves_csv(step_curves(reports), step_path)
-    rows = list(csv.reader(step_path.open()))
+    rows = read_csv(step_path)
     assert rows[0] == ["step", "relation_id", "acc1_mean", "acc1_std"]
     assert rows[1] == ["50", "rel", "0.300000", "0.100000"]
     assert rows[2] == ["50", "macro", "0.300000", "0.100000"]
