@@ -8,11 +8,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .curator import (ProbeQuery, default_templates, group_queries,
@@ -36,6 +36,8 @@ from .text import collapse_norm, write_csv
 CACHE_ENV = "PROBEFORGE_CACHE"
 PROBE_STRATEGIES = ("contrastive", "mask-predict", "mask-average", "generate")
 SWEEP_AXES = ("layer", "mask-ratio", "checkpoint-step", "seed")
+# set to "1" in the environment each sweep worker process starts with
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # RewireConfig fields that may be overridden from the rewire command line.
 REWIRE_OVERRIDE_FIELDS = (
@@ -68,6 +70,15 @@ def _resolve_out(args: argparse.Namespace) -> Path:
                          sort_keys=True, default=str)
     digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
     return Path(cache) / f"{args._command}-{digest}"
+
+
+@contextmanager
+def _writing(out: Path) -> Iterator[None]:
+    """Map a failure to create out or to write an artifact under it to InputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write outputs to {out}: {exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
@@ -154,27 +165,27 @@ def cmd_curate(args: argparse.Namespace) -> int:
     if not queries:
         raise InputError(f"{args.triples}: no queries survived curation")
     flagged = split_hard(queries)
-
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(flagged, out / "full.jsonl")
-    save_dataset([q for q in flagged if q.hard], out / "hard.jsonl")
     counts: dict[str, list[int]] = {}
     for q in flagged:
         row = counts.setdefault(q.relation_id, [0, 0])
         row[0] += 1
         row[1] += int(q.hard)
-    write_csv(out / "stats.csv", ["relation_id", "full_count", "hard_count"],
-              ([rel, *row] for rel, row in counts.items()))
 
-    _write_manifest(
-        out, "curate",
-        config={"max_answers": args.max_answers,
-                "per_relation": args.per_relation,
-                "malformed_triple_lines": result.malformed},
-        inputs={"triples": args.triples,
-                "templates": args.templates or "builtin"},
-        outputs=["full.jsonl", "hard.jsonl", "stats.csv"],
-        seed=args.seed, started_at=started, t0=t0)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        save_dataset(flagged, out / "full.jsonl")
+        save_dataset([q for q in flagged if q.hard], out / "hard.jsonl")
+        write_csv(out / "stats.csv", ["relation_id", "full_count", "hard_count"],
+                  ([rel, *row] for rel, row in counts.items()))
+        _write_manifest(
+            out, "curate",
+            config={"max_answers": args.max_answers,
+                    "per_relation": args.per_relation,
+                    "malformed_triple_lines": result.malformed},
+            inputs={"triples": args.triples,
+                    "templates": args.templates or "builtin"},
+            outputs=["full.jsonl", "hard.jsonl", "stats.csv"],
+            seed=args.seed, started_at=started, t0=t0)
     n_hard = sum(q.hard for q in flagged)
     print(f"curate: {len(flagged)} queries ({n_hard} hard) -> {out}")
     return 0
@@ -191,16 +202,16 @@ def cmd_rewire(args: argparse.Namespace) -> int:
     encoder = encoder_from_spec(args.encoder)
     pairs = _masked_pairs(args.corpus, config)
 
-    result = rewire_train(encoder, pairs, config, out_dir=out)
-
-    outputs = ["rewire_config.json", "loss_trace.csv"]
-    outputs += [str(p.relative_to(out)) for p in result.checkpoint_dirs]
-    _write_manifest(
-        out, "rewire",
-        config=asdict(config),
-        inputs={"encoder": args.encoder, "corpus": args.corpus,
-                "config": args.config},
-        outputs=outputs, seed=config.seed, started_at=started, t0=t0)
+    with _writing(out):
+        result = rewire_train(encoder, pairs, config, out_dir=out)
+        outputs = ["rewire_config.json", "loss_trace.csv"]
+        outputs += [str(p.relative_to(out)) for p in result.checkpoint_dirs]
+        _write_manifest(
+            out, "rewire",
+            config=asdict(config),
+            inputs={"encoder": args.encoder, "corpus": args.corpus,
+                    "config": args.config},
+            outputs=outputs, seed=config.seed, started_at=started, t0=t0)
     final = result.trace[-1].loss_mean if result.trace else float("nan")
     print(f"rewire: {config.steps} steps on {len(pairs)} pairs, "
           f"final mean loss {final:.4f} -> {out}")
@@ -300,21 +311,22 @@ def cmd_probe(args: argparse.Namespace) -> int:
     }[args.strategy]
     predictions, identity = runner(args, queries)
 
-    out.mkdir(parents=True, exist_ok=True)
-    save_predictions(predictions, out / "predictions.jsonl")
-    _write_manifest(
-        out, "probe",
-        config={"strategy": args.strategy, "k": args.k,
-                "layer_limit": args.layer_limit,
-                "candidate_scope": args.candidate_scope,
-                "num_masks": args.num_masks,
-                "fill_strategy": args.fill_strategy,
-                "refine": args.refine,
-                "max_refine_iters": args.max_refine_iters,
-                "model": identity},
-        inputs={"encoder": args.encoder, "checkpoint": args.checkpoint,
-                "dataset": args.dataset, "entities": args.entities},
-        outputs=["predictions.jsonl"], seed=None, started_at=started, t0=t0)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        save_predictions(predictions, out / "predictions.jsonl")
+        _write_manifest(
+            out, "probe",
+            config={"strategy": args.strategy, "k": args.k,
+                    "layer_limit": args.layer_limit,
+                    "candidate_scope": args.candidate_scope,
+                    "num_masks": args.num_masks,
+                    "fill_strategy": args.fill_strategy,
+                    "refine": args.refine,
+                    "max_refine_iters": args.max_refine_iters,
+                    "model": identity},
+            inputs={"encoder": args.encoder, "checkpoint": args.checkpoint,
+                    "dataset": args.dataset, "entities": args.entities},
+            outputs=["predictions.jsonl"], seed=None, started_at=started, t0=t0)
     print(f"probe[{args.strategy}]: {len(predictions)} predictions -> {out}")
     return 0
 
@@ -378,32 +390,36 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = aggregate(hits, k_values, model=args.model, strategy=strategy,
                        split=args.split)
 
-    out.mkdir(parents=True, exist_ok=True)
-    save_report(report, out / "report.json")
-    write_report_csv(report, out / "report.csv")
-    outputs = ["report.json", "report.csv"]
+    bins = rescored = None
     if args.length_bins:
         edges = _parse_int_list(args.length_bins, "--length-bins")
         bins = bin_by_answer_length(split_queries, hits, edges, k_values)
-        _write_bins_csv(bins, k_values, out / "bins.csv")
-        outputs.append("bins.csv")
     if args.annotations:
         annotations = load_annotations(args.annotations)
         sample_ids = {a.query_id for a in annotations}
         sample = [p for p in split_preds if p.query_id in sample_ids]
         answers_by_query = {q.query_id: q.answers for q in split_queries}
         rescored = expert_rescore(sample, annotations, answers_by_query, k_values)
-        _write_rescore_json(rescored, out / "rescore.json")
-        outputs.append("rescore.json")
 
-    _write_manifest(
-        out, "eval",
-        config={"split": args.split, "k": list(k_values), "model": args.model,
-                "strategy": strategy,
-                "length_bins": args.length_bins, "annotated": bool(args.annotations)},
-        inputs={"predictions": args.predictions, "dataset": args.dataset,
-                "annotations": args.annotations},
-        outputs=outputs, seed=None, started_at=started, t0=t0)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        save_report(report, out / "report.json")
+        write_report_csv(report, out / "report.csv")
+        outputs = ["report.json", "report.csv"]
+        if bins is not None:
+            _write_bins_csv(bins, k_values, out / "bins.csv")
+            outputs.append("bins.csv")
+        if rescored is not None:
+            _write_rescore_json(rescored, out / "rescore.json")
+            outputs.append("rescore.json")
+        _write_manifest(
+            out, "eval",
+            config={"split": args.split, "k": list(k_values), "model": args.model,
+                    "strategy": strategy,
+                    "length_bins": args.length_bins, "annotated": bool(args.annotations)},
+            inputs={"predictions": args.predictions, "dataset": args.dataset,
+                    "annotations": args.annotations},
+            outputs=outputs, seed=None, started_at=started, t0=t0)
     accs = " ".join(f"acc@{k}={report.macro[k]:.4f}" for k in k_values)
     print(f"eval[{args.split}]: macro {accs} over {report.total_queries} queries -> {out}")
     return 0
@@ -443,12 +459,39 @@ def _parse_axis_values(axis: str, raw: str):
     return values
 
 
-def _run_jobs(jobs, workers: int):
-    """Run zero-arg callables, preserving input order in the results."""
+def _run_jobs(fn, jobs: Sequence[tuple], workers: int) -> list:
+    """fn(*args) for each args tuple of jobs, results in input order.
+
+    With more than one worker and job, the jobs run in spawned processes that
+    start with one BLAS thread each: N processes that each run a threaded
+    BLAS would fight over the cores. fn and the arguments must pickle.
+    """
     if workers == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [future.result() for future in [pool.submit(j) for j in jobs]]
+        return [fn(*args) for args in jobs]
+    # imported here: the pool machinery is slow to import and only sweeps use it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(min(workers, len(jobs)),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        # a spawn pool starts its processes inside submit, so each inherits the pin
+        saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        try:
+            futures = [pool.submit(fn, *args) for args in jobs]
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        raise ProbeforgeError("a sweep worker process died before its job finished") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _sweep_report(encoder: EncoderHandle, queries, entity_names, layer_limit,
@@ -460,8 +503,8 @@ def _sweep_report(encoder: EncoderHandle, queries, entity_names, layer_limit,
                      strategy="contrastive", split="full", metadata=metadata)
 
 
-def _sweep_group(args, config: RewireConfig, points, queries, entity_names,
-                 k_values) -> dict[int, EvalReport | None]:
+def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, queries,
+                 entity_names, k_values) -> dict[int, EvalReport | None]:
     """Report of each (step, position, layer limit, metadata) point, by position.
 
     Points that share a training config share one encoder, trained once
@@ -470,12 +513,12 @@ def _sweep_group(args, config: RewireConfig, points, queries, entity_names,
     each point sees the state a fresh run to its step ends in. A point whose
     layer limit exceeds the encoder's depth is skipped (None).
     """
-    encoder = encoder_from_spec(args.encoder)
+    encoder = encoder_from_spec(encoder_spec)
     pairs, trained, reports = None, 0, {}
     for step, i, layer_limit, metadata in sorted(points, key=lambda p: p[:2]):
         if step > trained:
             if pairs is None:
-                pairs = _masked_pairs(args.corpus, config)
+                pairs = _masked_pairs(corpus, config)
             rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0),
                          start_step=trained)
             trained = step
@@ -528,26 +571,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, value in enumerate(values):
         cfg, step, layer_limit, metadata = _sweep_point(args.axis, config, probe_step, value)
         groups.setdefault(astuple(cfg), (cfg, []))[1].append((step, i, layer_limit, metadata))
-    jobs = [lambda g=g: _sweep_group(args, *g, queries, entity_names, k_values)
-            for g in groups.values()]
+    jobs = [(args.encoder, args.corpus, *group, queries, entity_names, k_values)
+            for group in groups.values()]
     reports = {}
-    for group_reports in _run_jobs(jobs, args.workers):
+    for group_reports in _run_jobs(_sweep_group, jobs, args.workers):
         reports.update(group_reports)
     kept = [i for i in range(len(values)) if reports[i] is not None]
     skipped = [v for i, v in enumerate(values) if reports[i] is None]
 
-    out.mkdir(parents=True, exist_ok=True)
-    merged = _write_sweep_csv(args.axis, [values[i] for i in kept],
-                              [reports[i] for i in kept], out)
-    _write_manifest(
-        out, "sweep",
-        config={"axis": args.axis, "values": values, "skipped_values": skipped,
-                "probe_step": probe_step, "workers": args.workers,
-                "rewire_config": asdict(config)},
-        inputs={"encoder": args.encoder, "corpus": args.corpus,
-                "config": args.config, "dataset": args.dataset,
-                "entities": args.entities},
-        outputs=[merged], seed=config.seed, started_at=started, t0=t0)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        merged = _write_sweep_csv(args.axis, [values[i] for i in kept],
+                                  [reports[i] for i in kept], out)
+        _write_manifest(
+            out, "sweep",
+            config={"axis": args.axis, "values": values, "skipped_values": skipped,
+                    "probe_step": probe_step, "workers": args.workers,
+                    "rewire_config": asdict(config)},
+            inputs={"encoder": args.encoder, "corpus": args.corpus,
+                    "config": args.config, "dataset": args.dataset,
+                    "entities": args.entities},
+            outputs=[merged], seed=config.seed, started_at=started, t0=t0)
     print(f"sweep[{args.axis}]: {len(kept)} runs -> {out / merged}")
     return 0
 
@@ -638,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--entities", required=True)
     sweep.add_argument("--workers", type=int, default=1,
                        help="distinct training configs (mask ratios, seeds) to "
-                            "train in parallel (default: sequential)")
+                            "train at once, each in its own process with one "
+                            "BLAS thread (default: 1, in this process)")
     _add_out(sweep)
     sweep.set_defaults(func=cmd_sweep, _command="sweep", _parser=sweep)
     return parser

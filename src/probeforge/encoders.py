@@ -460,7 +460,6 @@ class GeneratorHandle(ABC):
     """Free-form candidate generator; candidates come back ranked by score."""
 
     identity: str
-    max_new_tokens: int
 
     @abstractmethod
     def generate(self, query: str) -> list[tuple[str, float]]: ...
@@ -469,12 +468,10 @@ class GeneratorHandle(ABC):
 class TableGenerator(GeneratorHandle):
     """Lookup generator: per-query candidate lists with a shared fallback."""
 
-    def __init__(self, default, by_query=None, max_new_tokens=16,
-                 identity="table-generator"):
+    def __init__(self, default, by_query=None, identity="table-generator"):
         self.default = [(str(s), float(v)) for s, v in default]
         self.by_query = {q: [(str(s), float(v)) for s, v in items]
                          for q, items in (by_query or {}).items()}
-        self.max_new_tokens = max_new_tokens
         self.identity = identity
         for items in [self.default, *self.by_query.values()]:
             if not items:
@@ -490,7 +487,6 @@ class TableGenerator(GeneratorHandle):
     def from_json(cls, path) -> "TableGenerator":
         with _table_fields(path, "generator table") as data:
             return cls(default=data["default"], by_query=data.get("by_query"),
-                       max_new_tokens=data.get("max_new_tokens", 16),
                        identity=f"table-generator:{Path(path).name}")
 
 

@@ -318,15 +318,6 @@ def mask_predict_detail(mlm: MLMHeadHandle, query: str,
     return MaskPredictResult(" ".join(answer_tokens), score, sweeps, converged)
 
 
-def mask_predict(mlm: MLMHeadHandle, query: str,
-                 num_masks: int = DEFAULT_NUM_MASKS,
-                 strategy: str = "independent",
-                 refine: str | None = None,
-                 max_refine_iters: int = 5) -> str:
-    return mask_predict_detail(mlm, query, num_masks, strategy,
-                               refine, max_refine_iters).answer
-
-
 def mask_average_rank(mlm: MLMHeadHandle, query: ProbeQuery,
                       candidates: Sequence[str], k: int) -> RankedPrediction:
     """Rank candidates by their mean token log-probability under the head.

@@ -23,7 +23,7 @@ from probeforge.evaluation import (QueryHits, aggregate, expert_rescore,
                                    hit_at_k)
 from probeforge.probers import (RankedPrediction, build_entity_index,
                                 contrastive_probe, load_entities,
-                                mask_predict, mask_predict_detail)
+                                mask_predict_detail)
 from probeforge.rewire import (RewireConfig, infonce_loss, rewire_train,
                                sample_sentences, tail_mask)
 
@@ -389,8 +389,8 @@ def test_criterion_09_mask_predict_matches_enumeration():
     for query in queries:
         for num_masks in (1, 2, 3):
             for strategy in ("independent", "order"):
-                got = mask_predict(mlm, query.query_text,
-                                   num_masks=num_masks, strategy=strategy)
+                got = mask_predict_detail(mlm, query.query_text, num_masks=num_masks,
+                                          strategy=strategy).answer
                 want = oracle_fill(stub, query.query_text, num_masks, strategy)
                 assert got == want, (query.query_id, num_masks, strategy)
             detail = mask_predict_detail(mlm, query.query_text,

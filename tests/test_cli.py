@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import probeforge
-from probeforge.cli import main
+from probeforge.cli import _run_jobs, main
 from probeforge.curator import load_dataset
 from probeforge.encoders import encoder_from_spec
+from probeforge.errors import ProbeforgeError
 from probeforge.evaluation import (ExpertAnnotation, aggregate, load_report,
                                    save_annotations, score_predictions, step_curves,
                                    write_step_curves_csv)
@@ -329,6 +331,35 @@ def test_bad_input_file_exits_one(tmp_path, curated, probed, config_path, capsys
     assert "bad_input" in err
 
 
+UNWRITABLE_OUT = {
+    # command -> argv without --out
+    "curate": ["curate", "--triples", TRIPLES],
+    "rewire": ["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+               "--config", "{config}"],
+    "probe": ["probe", "--encoder", ENCODER_SPEC, "--dataset", "{dataset}",
+              "--entities", ENTITIES, "--strategy", "contrastive"],
+    "eval": EVAL,
+    "sweep": ["sweep", "--axis", "layer", "--values", "1", "--encoder", ENCODER_SPEC,
+              "--corpus", CORPUS, "--config", "{config}", "--dataset", "{dataset}",
+              "--entities", ENTITIES],
+}
+
+
+@pytest.mark.parametrize("command", list(UNWRITABLE_OUT))
+def test_unwritable_out_exits_one(tmp_path, curated, probed, config_path, capsys,
+                                  command):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    paths = {"dataset": curated / "full.jsonl",
+             "predictions": probed / "predictions.jsonl", "config": config_path}
+    argv = [arg.format(**paths) for arg in UNWRITABLE_OUT[command]]
+    # --out below a regular file cannot be created, not even by root
+    assert main([*argv, "--out", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"probeforge: error: cannot write outputs to {blocker / 'out'}")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_probe_needs_encoder_or_checkpoint(curated, capsys):
     code = main(["probe", "--dataset", str(curated / "full.jsonl"),
                  "--entities", ENTITIES, "--strategy", "contrastive",
@@ -510,7 +541,8 @@ def _sweep_argv(axis: str, values: str, curated: Path, config_path: str,
 
 
 @pytest.mark.parametrize("axis, values", [("mask-ratio", "0.7,0.3"),
-                                          ("checkpoint-step", "20,0,10")])
+                                          ("checkpoint-step", "20,0,10"),
+                                          ("seed", "7,8")])
 def test_sweep_training_axes_same_for_any_workers(tmp_path, curated, config_path,
                                                   axis, values):
     outs = []
@@ -519,6 +551,34 @@ def test_sweep_training_axes_same_for_any_workers(tmp_path, curated, config_path
         assert main(_sweep_argv(axis, values, curated, config_path, workers, out)) == 0
         outs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_run_jobs_pins_one_blas_thread_per_worker(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    names = [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",), ("MKL_NUM_THREADS",)]
+    assert _run_jobs(os.getenv, names, 2) == ["1", "1", "1"]
+    # the parent's own environment is left as it was, unset variables included
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ
+
+
+def test_run_jobs_worker_death_is_an_error():
+    with pytest.raises(ProbeforgeError, match="worker process died"):
+        _run_jobs(os._exit, [(3,), (3,)], 2)
+
+
+def test_sweep_worker_error_exits_one(tmp_path, curated, capsys):
+    config = tmp_path / "rewire.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "num_sentences": 100_000}))
+    out = tmp_path / "seeds"
+    assert main(_sweep_argv("seed", "7,8", curated, str(config), "2", out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("probeforge: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_sweep_mask_ratio_axis(tmp_path, curated, config_path):

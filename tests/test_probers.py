@@ -30,7 +30,6 @@ from probeforge.probers import (
     load_entities,
     load_predictions,
     mask_average_rank,
-    mask_predict,
     mask_predict_detail,
     save_predictions,
 )
@@ -358,14 +357,14 @@ def test_independent_matches_one_hot_rows():
         {"position": 3, "probs": {"beta": 1.0}},
         {"position": 4, "probs": {"gamma": 1.0}},
     ])
-    assert mask_predict(stub, MASK_QUERY, num_masks=2) == "beta gamma"
+    assert mask_predict_detail(stub, MASK_QUERY, num_masks=2).answer == "beta gamma"
 
 
 @pytest.mark.parametrize("strategy", ["independent", "order", "confidence"])
 @pytest.mark.parametrize("first_peak", [0.6, 0.9])
 def test_strategies_match_enumeration_oracle(strategy, first_peak):
-    got = mask_predict(conditional_stub(first_peak), MASK_QUERY,
-                       num_masks=2, strategy=strategy)
+    got = mask_predict_detail(conditional_stub(first_peak), MASK_QUERY,
+                              num_masks=2, strategy=strategy).answer
     assert got == oracle_fill(stub_tables(first_peak), strategy)
 
 
@@ -373,18 +372,19 @@ def test_order_sees_the_filled_left_neighbor():
     # independent leaves the second mask on the default row; order re-scores
     # it after filling "alpha" and the left rule kicks in
     stub = conditional_stub(0.6)
-    assert mask_predict(stub, MASK_QUERY, num_masks=2) == "alpha delta"
-    assert mask_predict(stub, MASK_QUERY, num_masks=2, strategy="order") == "alpha gamma"
+    assert mask_predict_detail(stub, MASK_QUERY, num_masks=2).answer == "alpha delta"
+    assert mask_predict_detail(stub, MASK_QUERY, num_masks=2,
+                               strategy="order").answer == "alpha gamma"
 
 
 def test_confidence_fills_the_most_certain_position_first():
     # peak 0.9 beats the default row's 0.8, so the first slot fills first and
     # the second slot is rescored under its left rule; peak 0.6 loses and the
     # second slot freezes on the default row before "alpha" lands
-    assert mask_predict(conditional_stub(0.9), MASK_QUERY,
-                        num_masks=2, strategy="confidence") == "alpha gamma"
-    assert mask_predict(conditional_stub(0.6), MASK_QUERY,
-                        num_masks=2, strategy="confidence") == "alpha delta"
+    assert mask_predict_detail(conditional_stub(0.9), MASK_QUERY,
+                               num_masks=2, strategy="confidence").answer == "alpha gamma"
+    assert mask_predict_detail(conditional_stub(0.6), MASK_QUERY,
+                               num_masks=2, strategy="confidence").answer == "alpha delta"
 
 
 def test_order_equals_independent_without_conditioning():
@@ -392,8 +392,9 @@ def test_order_equals_independent_without_conditioning():
         {"position": 3, "probs": {"alpha": 0.7, "beta": 0.3}},
         {"position": 4, "probs": {"gamma": 0.9, "delta": 0.1}},
     ])
-    expected = mask_predict(stub, MASK_QUERY, num_masks=2)
-    assert mask_predict(stub, MASK_QUERY, num_masks=2, strategy="order") == expected
+    expected = mask_predict_detail(stub, MASK_QUERY, num_masks=2).answer
+    assert mask_predict_detail(stub, MASK_QUERY, num_masks=2,
+                               strategy="order").answer == expected
 
 
 def test_refinement_keeps_a_fixed_point():
@@ -432,15 +433,15 @@ def test_predict_score_is_mean_logprob_of_remasked_span():
 def test_predict_rejects_bad_inputs():
     stub = conditional_stub(0.6)
     with pytest.raises(ValidationError, match="exactly once"):
-        mask_predict(stub, "no placeholder here")
+        mask_predict_detail(stub, "no placeholder here")
     with pytest.raises(ValidationError, match="exactly once"):
-        mask_predict(stub, "[MASK] twice [MASK]")
+        mask_predict_detail(stub, "[MASK] twice [MASK]")
     with pytest.raises(ConfigurationError):
-        mask_predict(stub, MASK_QUERY, strategy="beam")
+        mask_predict_detail(stub, MASK_QUERY, strategy="beam")
     with pytest.raises(ConfigurationError):
-        mask_predict(stub, MASK_QUERY, num_masks=0)
+        mask_predict_detail(stub, MASK_QUERY, num_masks=0)
     with pytest.raises(ConfigurationError):
-        mask_predict(stub, MASK_QUERY, refine="shuffle")
+        mask_predict_detail(stub, MASK_QUERY, refine="shuffle")
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +540,6 @@ def test_generator_duplicates_keep_best_score():
 
 class FailingGenerator(GeneratorHandle):
     identity = "failing"
-    max_new_tokens = 4
 
     def generate(self, query):
         raise RuntimeError("backend unavailable")
