@@ -16,6 +16,8 @@ deterministically with no model downloads.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import zlib
 from abc import ABC, abstractmethod
@@ -25,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, ValidationError
+from .errors import ConfigurationError, InputError, NumericalError, ValidationError
 
 SIDECAR_NAME = "sidecar.json"
 
@@ -83,6 +85,15 @@ def _validate_texts(texts) -> list[str]:
     return texts
 
 
+def unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of matrix scaled to unit L2 norm, and their norms. A zero or
+    non-finite norm raises NumericalError naming what."""
+    norms = np.linalg.norm(matrix, axis=1)
+    if not (np.isfinite(norms).all() and (norms > 0).all()):
+        raise NumericalError(f"{what} contains a zero or non-finite row norm")
+    return matrix / norms[:, None], norms
+
+
 class ReferenceEncoder(EncoderHandle):
     """Deterministic trainable encoder over hashed character trigrams.
 
@@ -136,27 +147,34 @@ class ReferenceEncoder(EncoderHandle):
     def max_layers(self) -> int:
         return len(self.blocks)
 
-    def _features(self, texts: list[str]) -> np.ndarray:
-        """Dense (len(texts), feature_dim) batch of unit-norm trigram counts.
+    def _features(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols): unit-norm trigram counts on the buckets the batch touches.
 
-        The cache keeps one sparse entry per distinct text: its sorted bucket
-        indices and their normalized values. Counts are small integers, so
-        the sum of squares is exact in any order and every value is
-        bit-identical to normalizing the dense count row.
+        cols is the ascending array of buckets some text touches and rows the
+        (len(texts), len(cols)) matrix of their values, so rows scattered back
+        at cols is the dense (len(texts), feature_dim) batch. The cache keeps
+        one sparse entry per distinct text: its sorted bucket indices and their
+        normalized values. Counts are small integers, so the sum of squares is
+        exact in any order and every value is bit-identical to normalizing the
+        dense count row.
         """
         cache = self._feat_cache
         missing = [t for t in dict.fromkeys(texts) if t not in cache]
         if missing:
             self._cache_features(missing)
-        rows = np.zeros((len(texts), self.feature_dim))
         if not texts:
-            return rows
+            return np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
         entries = [cache[t] for t in texts]
-        lengths = [len(buckets) for buckets, _ in entries]
-        rows[np.repeat(np.arange(len(texts)), lengths),
-             np.concatenate([buckets for buckets, _ in entries])] = \
-            np.concatenate([values for _, values in entries])
-        return rows
+        buckets = np.concatenate([b for b, _ in entries])
+        touched = np.zeros(self.feature_dim, dtype=bool)
+        touched[buckets] = True
+        cols = np.flatnonzero(touched)
+        # bucket -> its column in rows: the number of touched buckets below it
+        remap = np.cumsum(touched) - 1
+        rows = np.zeros((len(texts), len(cols)))
+        rows[np.repeat(np.arange(len(texts)), [len(b) for b, _ in entries]),
+             remap[buckets]] = np.concatenate([v for _, v in entries])
+        return rows, cols
 
     def _cache_features(self, texts: list[str]) -> None:
         fd = self.feature_dim
@@ -189,15 +207,17 @@ class ReferenceEncoder(EncoderHandle):
 
     def _forward(self, texts: list[str], layer_limit: int | None, keep_cache: bool):
         limit = self.resolve_layer_limit(layer_limit)
-        phi = self._features(_validate_texts(texts))
-        states = [phi @ self.w_in]
+        # buckets no text touches add nothing to the projection, so only the
+        # touched rows of w_in take part
+        phi, cols = self._features(_validate_texts(texts))
+        states = [phi @ self.w_in[cols]]
         tanhs = []
         for i in range(limit):
             t = np.tanh(states[-1] @ self._block_weight(i))
             tanhs.append(t)
             states.append(states[-1] + t)
         if keep_cache:
-            self._train_cache = (phi, states, tanhs, limit)
+            self._train_cache = (phi, cols, states, tanhs, limit)
         return states[-1]
 
     def encode(self, texts, layer_limit=None):
@@ -209,7 +229,7 @@ class ReferenceEncoder(EncoderHandle):
     def backward_train(self, grad_outputs, learning_rate):
         if self._train_cache is None:
             raise ValidationError("backward_train requires a preceding forward_train")
-        phi, states, tanhs, limit = self._train_cache
+        phi, cols, states, tanhs, limit = self._train_cache
         self._train_cache = None
         g = np.asarray(grad_outputs, dtype=float)
         if g.shape != states[-1].shape:
@@ -221,8 +241,9 @@ class ReferenceEncoder(EncoderHandle):
             dt = g * (1.0 - tanhs[i] ** 2)
             block_grads[i] = states[i].T @ dt
             g = g + dt @ self.blocks[i].T
-        grad_w_in = phi.T @ g
-        self.w_in -= learning_rate * grad_w_in
+        # the dense gradient of an untouched bucket is a row of zeros, so the
+        # touched rows alone carry the whole update
+        self.w_in[cols] -= learning_rate * (phi.T @ g)
         for i, grad in block_grads.items():
             self.blocks[i] -= learning_rate * grad
         self.step += 1
@@ -258,14 +279,19 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir, step: int | None = None) -
     """Write one weights-plus-sidecar checkpoint directory.
 
     Arrays go to individual .npy files (no archive timestamps, so identical
-    weights produce identical bytes). The sidecar records identity,
-    embedding_dim, max_layers and step, plus whatever the backend needs to
-    rebuild itself.
+    weights produce identical bytes). The sidecar, written last, records
+    identity, embedding_dim, max_layers and step, the sha256 of each .npy
+    file, plus whatever the backend needs to rebuild itself.
     """
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
+    digests = {}
     for name, arr in encoder.state_arrays().items():
-        np.save(ckpt_dir / f"{name}.npy", arr)
+        buf = io.BytesIO()
+        np.save(buf, arr)
+        data = buf.getvalue()
+        (ckpt_dir / f"{name}.npy").write_bytes(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
     sidecar = {
         "identity": encoder.identity,
         "embedding_dim": encoder.embedding_dim,
@@ -273,6 +299,7 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir, step: int | None = None) -
         "step": encoder.step if step is None else int(step),
         "backend": getattr(encoder, "backend", "unknown"),
         "config": encoder.sidecar_config(),
+        "sha256": digests,
     }
     (ckpt_dir / SIDECAR_NAME).write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -283,9 +310,11 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir, step: int | None = None) -
 def load_checkpoint(ckpt_dir) -> EncoderHandle:
     """Rebuild an encoder from a checkpoint directory.
 
-    A sidecar that is unreadable or not JSON, or a weights file that is
-    truncated or corrupt, raises InputError; a sidecar missing a key or
-    holding a bad config raises ValidationError.
+    A sidecar that is unreadable or not JSON, or a weights file that cannot
+    be read or parsed, raises InputError. A sidecar missing a key or holding
+    a bad config raises ValidationError, as does a weights file whose sha256
+    differs from the one the sidecar records: a truncated or corrupt file,
+    or the array of a later save that was cut off before its sidecar.
     """
     ckpt_dir = Path(ckpt_dir)
     sidecar_path = ckpt_dir / SIDECAR_NAME
@@ -302,17 +331,26 @@ def load_checkpoint(ckpt_dir) -> EncoderHandle:
         raise ConfigurationError(f"unknown encoder backend {backend!r} in {ckpt_dir}")
     try:
         config, step, identity = sidecar["config"], sidecar["step"], sidecar["identity"]
+        digests = dict(sidecar["sha256"])
         encoder = ReferenceEncoder(**config)
         encoder.step = int(step)
     except KeyError as exc:
         raise ValidationError(f"{sidecar_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{sidecar_path}: bad config or step: {exc}") from exc
+        raise ValidationError(f"{sidecar_path}: bad config, step or sha256: {exc}") from exc
     arrays = {}
     for path in sorted(ckpt_dir.glob("*.npy")):
         try:
-            arrays[path.stem] = np.load(path)
-        except (OSError, ValueError, EOFError) as exc:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise InputError(f"cannot load checkpoint array {path}: {exc}") from exc
+        if hashlib.sha256(data).hexdigest() != digests.get(path.stem):
+            raise ValidationError(
+                f"checkpoint array {path} does not match its sha256 in {sidecar_path}"
+            )
+        try:
+            arrays[path.stem] = np.load(io.BytesIO(data))
+        except (ValueError, EOFError) as exc:
             raise InputError(f"cannot load checkpoint array {path}: {exc}") from exc
     encoder.load_state_arrays(arrays)
     if encoder.identity != identity:

@@ -10,7 +10,8 @@ caller.
 Retrieval is exact: every query is scored against every entity, and the
 top k come out ordered by descending score with ties going to the lower
 entity index. Names and queries are encoded, and queries scored, in blocks
-of at most BLOCK_BYTES of dense float64 rows, so memory is bounded by one
+of at most BLOCK_BYTES of float64 rows: feature rows at most feature_dim
+wide, and score rows with one entry per entity. So memory is bounded by one
 block plus the index and the query embeddings, whatever the vocabulary
 size.
 """
@@ -27,11 +28,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .curator import MASK_PLACEHOLDER, ProbeQuery
-from .encoders import EncoderHandle, GeneratorHandle, MLMHeadHandle
+from .encoders import EncoderHandle, GeneratorHandle, MLMHeadHandle, unit_rows
 from .errors import (
     ConfigurationError,
     InputError,
-    NumericalError,
     ValidationError,
 )
 from .text import collapse_norm, read_jsonl
@@ -39,8 +39,8 @@ from .text import collapse_norm, read_jsonl
 UNIT_NORM_TOL = 1e-6
 DEFAULT_NUM_MASKS = 5
 MASK_STRATEGIES = ("independent", "order", "confidence")
-# most bytes of dense float64 rows one block may hold: the feature rows an
-# encode builds, and the score rows of the queries being ranked
+# most bytes of float64 rows one block may hold: the feature rows an encode
+# builds, and the score rows of the queries being ranked
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -58,23 +58,18 @@ def _blocks(n_rows: int, row_width: int) -> list[slice]:
 
 
 def _encode_width(encoder: EncoderHandle) -> int:
-    # an encode holds one dense feature row per text; an encoder without
-    # input features is bounded by its embedding width instead
+    # an encode holds one feature row per text, over the buckets its block
+    # touches, so at most feature_dim wide; an encoder without input features
+    # is bounded by its embedding width instead
     return getattr(encoder, "feature_dim", encoder.embedding_dim)
-
-
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise NumericalError("cannot normalize a zero or non-finite vector")
-    return matrix / norms
 
 
 def _encode_units(encoder: EncoderHandle, texts: list[str], layer_limit: int) -> np.ndarray:
     """Unit-norm embeddings of texts, encoded one block of feature rows at a time."""
     vectors = np.empty((len(texts), encoder.embedding_dim))
     for block in _blocks(len(texts), _encode_width(encoder)):
-        vectors[block] = _unit_rows(encoder.encode(texts[block], layer_limit=layer_limit))
+        vectors[block], _ = unit_rows(encoder.encode(texts[block], layer_limit=layer_limit),
+                                     "encoded texts")
     return vectors
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .curator import MASK_PLACEHOLDER
-from .encoders import EncoderHandle, save_checkpoint
+from .encoders import EncoderHandle, save_checkpoint, unit_rows
 from .errors import (
     ConfigurationError,
     InputError,
@@ -185,13 +185,6 @@ def tail_mask(sentence: str, mask_ratio: float,
     return MaskedPair(query=query, answer=" ".join(words[w - m:]))
 
 
-def _unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(matrix, axis=1)
-    if not (np.isfinite(norms).all() and (norms > 0).all()):
-        raise NumericalError(f"{what} contains a zero or non-finite row norm")
-    return matrix / norms[:, None], norms
-
-
 def _infonce_parts(query_vectors, answer_vectors, temperature, with_grads):
     q = np.asarray(query_vectors, dtype=float)
     a = np.asarray(answer_vectors, dtype=float)
@@ -200,8 +193,8 @@ def _infonce_parts(query_vectors, answer_vectors, temperature, with_grads):
     if temperature <= 0:
         raise ConfigurationError("temperature must be positive")
     n = q.shape[0]
-    u, q_norms = _unit_rows(q, "query_vectors")
-    a_hat, a_norms = _unit_rows(a, "answer_vectors")
+    u, q_norms = unit_rows(q, "query_vectors")
+    a_hat, a_norms = unit_rows(a, "answer_vectors")
     z = np.vstack([u, a_hat])
     scores = (u @ z.T) / temperature                      # (n, 2n)
     np.fill_diagonal(scores[:, :n], -np.inf)              # an anchor never scores itself

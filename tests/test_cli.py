@@ -5,6 +5,7 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import probeforge
@@ -225,6 +226,13 @@ def _garble_weights(ckpt: Path) -> str:
     return "block_00.npy"
 
 
+def _swap_weights(ckpt: Path) -> str:
+    # a valid array of the right shape, as a save cut off before its sidecar leaves
+    path = ckpt / "w_in.npy"
+    np.save(path, np.load(path) + 1.0)
+    return "w_in.npy"
+
+
 def _sidecar_not_json(ckpt: Path) -> str:
     path = ckpt / "sidecar.json"
     path.write_text(path.read_text()[:-20])
@@ -239,10 +247,10 @@ def _sidecar_missing_key(ckpt: Path) -> str:
     return "'step'"
 
 
-@pytest.mark.parametrize("damage", [_truncate_weights, _garble_weights,
+@pytest.mark.parametrize("damage", [_truncate_weights, _garble_weights, _swap_weights,
                                     _sidecar_not_json, _sidecar_missing_key],
-                         ids=["truncated-npy", "corrupt-npy", "sidecar-not-json",
-                              "sidecar-missing-key"])
+                         ids=["truncated-npy", "corrupt-npy", "swapped-npy",
+                              "sidecar-not-json", "sidecar-missing-key"])
 def test_probe_damaged_checkpoint_exits_one(tmp_path, curated, rewired, capsys, damage):
     ckpt = tmp_path / "step_00010"
     shutil.copytree(rewired / "checkpoints" / "step_00010", ckpt)
@@ -254,6 +262,7 @@ def test_probe_damaged_checkpoint_exits_one(tmp_path, curated, rewired, capsys, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("probeforge: error: ")
+    assert len(err.strip().splitlines()) == 1
     assert culprit in err
     assert "Traceback" not in err
 

@@ -1,5 +1,7 @@
 import filecmp
+import hashlib
 import json
+import shutil
 import sys
 import zlib
 
@@ -123,10 +125,13 @@ def test_sparse_features_are_bit_identical_to_dense_rows(first, second, feature_
     enc = ReferenceEncoder(dim=4, seed=0, layers=1, feature_dim=feature_dim)
     # a second call mixes cached texts, new texts and repeats
     for texts in (first, second + first[::-1] + second):
-        got = enc._features(texts)
-        want = dense_features(texts, feature_dim)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        rows, cols = enc._features(texts)
+        assert rows.shape == (len(texts), len(cols))
+        assert (np.diff(cols) > 0).all()
+        assert (rows != 0).any(axis=0).all()
+        got = np.zeros((len(texts), feature_dim))
+        got[:, cols] = rows
+        assert got.tobytes() == dense_features(texts, feature_dim).tobytes()
 
 
 def test_feature_cache_entry_is_sparse():
@@ -139,6 +144,54 @@ def test_feature_cache_entry_is_sparse():
     # a dense float64 row would take feature_dim * 8 bytes; the entry
     # (both arrays, their headers and buffers) must take under an eighth
     assert size < enc.feature_dim * 8 // 8
+
+
+def dense_forward(enc, texts):
+    """The encoder's output computed over the dense feature batch."""
+    state = dense_features(texts, enc.feature_dim) @ enc.w_in
+    for block in enc.blocks:
+        state = state + np.tanh(state @ block)
+    return state
+
+
+def dense_sgd_step(enc, texts, grad_outputs, learning_rate):
+    """The weights after one SGD step of enc on texts, with the input layer's
+    gradient taken over the dense feature batch. The residual stack reuses
+    enc's cached forward states, so the blocks follow the same arithmetic as
+    the encoder's own step."""
+    _, _, states, tanhs, limit = enc._train_cache
+    g = grad_outputs
+    blocks = [b.copy() for b in enc.blocks]
+    for i in reversed(range(limit)):
+        dt = g * (1.0 - tanhs[i] ** 2)
+        blocks[i] -= learning_rate * (states[i].T @ dt)
+        g = g + dt @ enc.blocks[i].T
+    w_in = enc.w_in - learning_rate * (dense_features(texts, enc.feature_dim).T @ g)
+    return w_in, blocks
+
+
+@pytest.mark.parametrize("texts,feature_dim", [
+    # every bucket touched, so no column is dropped
+    ([chr(97 + i) * 3 + chr(98 + i) for i in range(20)] + TEXTS, 16),
+    (["Entecavir might treat [MASK] ."], 2048),
+], ids=["all-buckets", "single-text"])
+def test_touched_bucket_step_matches_dense_oracle(texts, feature_dim):
+    enc = ReferenceEncoder(dim=8, seed=5, layers=2, feature_dim=feature_dim)
+    _, cols = enc._features(texts)
+    # the first case drops no column, the second drops most of them
+    assert (len(cols) == feature_dim) == (feature_dim == 16)
+    before = enc.w_in.copy()
+    want_out = dense_forward(enc, texts)
+    out = enc.forward_train(texts)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    grad = np.random.default_rng(1).standard_normal(out.shape)
+    want_w_in, want_blocks = dense_sgd_step(enc, texts, grad, 0.05)
+    enc.backward_train(grad, 0.05)
+    assert enc.w_in.tobytes() == want_w_in.tobytes()
+    for got, want in zip(enc.blocks, want_blocks):
+        assert got.tobytes() == want.tobytes()
+    untouched = np.setdiff1d(np.arange(feature_dim), cols)
+    assert enc.w_in[untouched].tobytes() == before[untouched].tobytes()
 
 
 def test_training_step_changes_outputs_and_identity():
@@ -216,6 +269,36 @@ def test_checkpoint_bytes_reproducible(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b",
                                                files_a, shallow=False)
     assert not mismatch and not errors
+
+
+def test_checkpoint_sidecar_records_array_digests(tmp_path):
+    save_checkpoint(small_encoder(), tmp_path)
+    sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+    assert sorted(sidecar["sha256"]) == ["block_00", "block_01", "block_02", "block_03", "w_in"]
+    for name, digest in sidecar["sha256"].items():
+        assert hashlib.sha256((tmp_path / f"{name}.npy").read_bytes()).hexdigest() == digest
+
+
+def test_load_checkpoint_rejects_arrays_of_a_later_save(tmp_path):
+    # a rerun into the same directory, cut off after its first array, leaves
+    # a new w_in.npy beside the old blocks and the old sidecar
+    save_checkpoint(small_encoder(), tmp_path / "old")
+    enc = small_encoder()
+    out = enc.forward_train(TEXTS)
+    enc.backward_train(np.ones_like(out), 0.05)
+    save_checkpoint(enc, tmp_path / "new")
+    shutil.copy(tmp_path / "new" / "w_in.npy", tmp_path / "old" / "w_in.npy")
+    with pytest.raises(ValidationError, match="w_in.npy does not match its sha256"):
+        load_checkpoint(tmp_path / "old")
+
+
+def test_load_checkpoint_requires_array_digests(tmp_path):
+    save_checkpoint(small_encoder(), tmp_path)
+    sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+    del sidecar["sha256"]
+    (tmp_path / "sidecar.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValidationError, match="missing key 'sha256'"):
+        load_checkpoint(tmp_path)
 
 
 def test_load_checkpoint_rejects_non_checkpoint(tmp_path):

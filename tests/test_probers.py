@@ -19,6 +19,7 @@ from probeforge.encoders import (
 from probeforge.errors import (
     ConfigurationError,
     InputError,
+    NumericalError,
     ValidationError,
 )
 from probeforge.probers import (
@@ -85,6 +86,14 @@ def test_index_vectors_are_frozen():
 def test_index_rejects_non_unit_rows():
     with pytest.raises(ValidationError, match="unit norm"):
         EntityIndex(("a", "b"), np.ones((2, 4)), "enc", 2)
+
+
+@pytest.mark.parametrize("weight", [0.0, np.nan], ids=["zero", "nan"])
+def test_degenerate_embedding_is_numerical_error(weight):
+    encoder = make_encoder()
+    encoder.w_in[:] = weight
+    with pytest.raises(NumericalError, match="zero or non-finite"):
+        build_entity_index(encoder, SMALL_VOCAB)
 
 
 def test_load_entities_skips_blanks(tmp_path):
