@@ -36,8 +36,6 @@ from .text import collapse_norm, write_csv
 CACHE_ENV = "PROBEFORGE_CACHE"
 PROBE_STRATEGIES = ("contrastive", "mask-predict", "mask-average", "generate")
 SWEEP_AXES = ("layer", "mask-ratio", "checkpoint-step", "seed")
-# set to "1" in the environment each sweep worker process starts with
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # RewireConfig fields that may be overridden from the rewire command line.
 REWIRE_OVERRIDE_FIELDS = (
@@ -56,7 +54,7 @@ def _utc_now() -> str:
 
 def _flag_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items()
-            if not k.startswith("_") and k not in ("func", "out")}
+            if not k.startswith("_") and k not in ("func", "out", "workers")}
 
 
 def _resolve_out(args: argparse.Namespace) -> Path:
@@ -459,41 +457,6 @@ def _parse_axis_values(axis: str, raw: str):
     return values
 
 
-def _run_jobs(fn, jobs: Sequence[tuple], workers: int) -> list:
-    """fn(*args) for each args tuple of jobs, results in input order.
-
-    With more than one worker and job, the jobs run in spawned processes that
-    start with one BLAS thread each: N processes that each run a threaded
-    BLAS would fight over the cores. fn and the arguments must pickle.
-    """
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(*args) for args in jobs]
-    # imported here: the pool machinery is slow to import and only sweeps use it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(min(workers, len(jobs)),
-                               mp_context=multiprocessing.get_context("spawn"))
-    try:
-        # a spawn pool starts its processes inside submit, so each inherits the pin
-        saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-        try:
-            futures = [pool.submit(fn, *args) for args in jobs]
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-        return [future.result() for future in futures]
-    except BrokenProcessPool:
-        raise ProbeforgeError("a sweep worker process died before its job finished") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _sweep_report(encoder: EncoderHandle, queries, entity_names, layer_limit,
                   k_values, metadata) -> EvalReport:
     index = build_entity_index(encoder, entity_names, layer_limit=layer_limit)
@@ -552,8 +515,6 @@ def _write_sweep_csv(axis: str, values, reports: list[EvalReport], out: Path) ->
 def cmd_sweep(args: argparse.Namespace) -> int:
     t0, started = time.perf_counter(), _utc_now()
     out = _resolve_out(args)
-    if args.workers < 1:
-        raise ConfigurationError("--workers must be >= 1")
     values = _parse_axis_values(args.axis, args.values)
     config = RewireConfig.from_json(args.config)
     queries = load_dataset(args.dataset)
@@ -571,11 +532,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, value in enumerate(values):
         cfg, step, layer_limit, metadata = _sweep_point(args.axis, config, probe_step, value)
         groups.setdefault(astuple(cfg), (cfg, []))[1].append((step, i, layer_limit, metadata))
-    jobs = [(args.encoder, args.corpus, *group, queries, entity_names, k_values)
-            for group in groups.values()]
     reports = {}
-    for group_reports in _run_jobs(_sweep_group, jobs, args.workers):
-        reports.update(group_reports)
+    for cfg, points in groups.values():
+        reports.update(_sweep_group(args.encoder, args.corpus, cfg, points, queries,
+                                    entity_names, k_values))
     kept = [i for i in range(len(values)) if reports[i] is not None]
     skipped = [v for i, v in enumerate(values) if reports[i] is None]
 
@@ -586,8 +546,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_manifest(
             out, "sweep",
             config={"axis": args.axis, "values": values, "skipped_values": skipped,
-                    "probe_step": probe_step, "workers": args.workers,
-                    "rewire_config": asdict(config)},
+                    "probe_step": probe_step, "rewire_config": asdict(config)},
             inputs={"encoder": args.encoder, "corpus": args.corpus,
                     "config": args.config, "dataset": args.dataset,
                     "entities": args.entities},
@@ -680,10 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="RewireConfig JSON")
     sweep.add_argument("--dataset", required=True, help="query JSONL")
     sweep.add_argument("--entities", required=True)
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="distinct training configs (mask ratios, seeds) to "
-                            "train at once, each in its own process with one "
-                            "BLAS thread (default: 1, in this process)")
+    # no effect; kept only because perfbench's demo command still passes it
+    sweep.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     _add_out(sweep)
     sweep.set_defaults(func=cmd_sweep, _command="sweep", _parser=sweep)
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -38,8 +38,6 @@ class KnowledgeTriple:
     head_name: str
     relation_id: str
     tail_name: str
-    head_id: str | None = None
-    tail_id: str | None = None
 
     def __post_init__(self):
         for attr in ("head_name", "relation_id", "tail_name"):
@@ -89,7 +87,6 @@ class ProbeQuery:
 class TripleLoadResult:
     triples: list[KnowledgeTriple]
     malformed: int = 0
-    malformed_lines: list[int] = field(default_factory=list)
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -104,36 +101,34 @@ def _iter_lines(source) -> Iterator[str]:
 
 
 def load_triples(source) -> TripleLoadResult:
-    """Parse head<TAB>relation<TAB>tail[<TAB>head_id<TAB>tail_id] lines.
+    """Parse head<TAB>relation<TAB>tail lines; up to two trailing ID columns
+    (head_id, tail_id) are accepted and ignored.
 
     Comment lines starting with "#" and blank lines are ignored. Malformed
     lines (wrong field count, empty mandatory field) are counted rather than
     silently dropped; an input with zero valid triples is an error.
     """
     triples: list[KnowledgeTriple] = []
-    malformed: list[int] = []
-    total = 0
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    malformed = total = 0
+    for raw in _iter_lines(source):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         total += 1
         fields = line.split("\t")
         if not 3 <= len(fields) <= 5:
-            malformed.append(lineno)
+            malformed += 1
             continue
         head, rel, tail = (f.strip() for f in fields[:3])
         if not head or not rel or not tail:
-            malformed.append(lineno)
+            malformed += 1
             continue
-        head_id = fields[3].strip() or None if len(fields) > 3 else None
-        tail_id = fields[4].strip() or None if len(fields) > 4 else None
-        triples.append(KnowledgeTriple(head, rel, tail, head_id, tail_id))
+        triples.append(KnowledgeTriple(head, rel, tail))
     if not triples:
         raise EmptyDatasetError(
-            f"no valid triples found ({total} data lines, {len(malformed)} malformed)"
+            f"no valid triples found ({total} data lines, {malformed} malformed)"
         )
-    return TripleLoadResult(triples, len(malformed), malformed)
+    return TripleLoadResult(triples, malformed)
 
 
 def load_templates(path) -> dict[str, PromptTemplate]:

@@ -118,27 +118,19 @@ class EntityIndex:
         norms = np.linalg.norm(self.vectors, axis=1)
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValidationError("entity index rows must have unit norm")
-        dups = _duplicate_names(self.entity_names)
+        seen: set[str] = set()
+        dups = []
+        for name in self.entity_names:
+            key = collapse_norm(name)
+            if key in seen:
+                dups.append(name)
+            seen.add(key)
         if dups:
-            raise ValidationError(
-                "duplicate entity names after normalization: " + ", ".join(dups)
-            )
+            raise InputError("duplicate entity names after normalization: " + ", ".join(dups))
         self.vectors.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.entity_names)
-
-
-def _duplicate_names(names: Iterable[str]) -> list[str]:
-    seen: dict[str, str] = {}
-    dups = []
-    for name in names:
-        key = collapse_norm(name)
-        if key in seen:
-            dups.append(name)
-        else:
-            seen[key] = name
-    return dups
 
 
 def load_entities(path) -> list[str]:
@@ -155,11 +147,6 @@ def build_entity_index(encoder: EncoderHandle, entity_names: Sequence[str],
     names = list(entity_names)
     if not names:
         raise InputError("entity vocabulary is empty")
-    dups = _duplicate_names(names)
-    if dups:
-        raise InputError(
-            "duplicate entity names after normalization: " + ", ".join(dups)
-        )
     limit = encoder.resolve_layer_limit(layer_limit)
     return EntityIndex(tuple(names), _encode_units(encoder, names, limit),
                        encoder.identity, limit)

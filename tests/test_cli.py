@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -9,16 +8,18 @@ import numpy as np
 import pytest
 
 import probeforge
-from probeforge.cli import _run_jobs, main
+from probeforge import cli
+from probeforge.cli import main
 from probeforge.curator import load_dataset
 from probeforge.encoders import encoder_from_spec
-from probeforge.errors import ProbeforgeError
 from probeforge.evaluation import (ExpertAnnotation, aggregate, load_report,
-                                   save_annotations, score_predictions, step_curves,
+                                   save_annotations, score_predictions,
+                                   stability_summary, step_curves,
                                    write_step_curves_csv)
 from probeforge.probers import (RankedPrediction, build_entity_index, contrastive_probe,
                                 load_entities, load_predictions, save_predictions)
 from probeforge.rewire import RewireConfig, rewire_train, sample_sentences, tail_mask
+from probeforge.text import write_csv
 
 FIXTURES = Path(probeforge.__file__).parent / "fixtures"
 TRIPLES = str(FIXTURES / "triples.tsv")
@@ -562,21 +563,29 @@ def test_sweep_training_axes_same_for_any_workers(tmp_path, curated, config_path
     assert outs[0] and outs[0] == outs[1]
 
 
-def test_run_jobs_pins_one_blas_thread_per_worker(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    names = [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",), ("MKL_NUM_THREADS",)]
-    assert _run_jobs(os.getenv, names, 2) == ["1", "1", "1"]
-    # the parent's own environment is left as it was, unset variables included
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-    assert "OMP_NUM_THREADS" not in os.environ
-    assert "MKL_NUM_THREADS" not in os.environ
+def test_sweep_trains_in_the_calling_process(tmp_path, curated, config_path,
+                                             monkeypatch):
+    calls = []
+
+    def counting_rewire_train(*args, **kwargs):
+        calls.append(kwargs.get("start_step"))
+        return rewire_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rewire_train", counting_rewire_train)
+    out = tmp_path / "seeds"
+    assert main(_sweep_argv("seed", "7,8", curated, config_path, "2", out)) == 0
+    assert len(calls) == 2
 
 
-def test_run_jobs_worker_death_is_an_error():
-    with pytest.raises(ProbeforgeError, match="worker process died"):
-        _run_jobs(os._exit, [(3,), (3,)], 2)
+def test_sweep_workers_flag_keeps_the_cache_slot(tmp_path, curated, config_path,
+                                                 monkeypatch):
+    monkeypatch.setenv("PROBEFORGE_CACHE", str(tmp_path))
+    argv = ["sweep", "--axis", "layer", "--values", "1", "--encoder", ENCODER_SPEC,
+            "--corpus", CORPUS, "--config", config_path,
+            "--dataset", str(curated / "full.jsonl"), "--entities", ENTITIES]
+    for extra in ([], ["--workers", "3"]):
+        assert main(argv + extra) == 0
+    assert len(list(tmp_path.glob("sweep-*"))) == 1
 
 
 def test_sweep_worker_error_exits_one(tmp_path, curated, capsys):
@@ -601,6 +610,19 @@ def test_sweep_mask_ratio_axis(tmp_path, curated, config_path):
     assert read_manifest(out)["outputs"] == ["mask_ratio_sweep.csv"]
 
 
+def _oracle_pairs(config: RewireConfig):
+    sentences = sample_sentences(CORPUS, config.num_sentences, seed=config.seed)
+    return [p for p in (tail_mask(s, config.mask_ratio) for s in sentences)
+            if p is not None]
+
+
+def _oracle_report(encoder, queries, metadata: dict):
+    index = build_entity_index(encoder, load_entities(ENTITIES))
+    hits = score_predictions(contrastive_probe(encoder, index, queries, 10), queries)
+    return aggregate(hits, (1, 10), model=encoder.identity, strategy="contrastive",
+                     metadata=metadata)
+
+
 def test_sweep_checkpoint_steps_match_fresh_training(tmp_path, curated):
     """Training once through the sorted steps gives, at each step, the
     state that training a fresh encoder to that step gives."""
@@ -610,22 +632,42 @@ def test_sweep_checkpoint_steps_match_fresh_training(tmp_path, curated):
     assert main(_sweep_argv("checkpoint-step", "20,0,10", curated, config_path,
                             "1", out, encoder=spec)) == 0
     config = RewireConfig.from_json(config_path)
-    sentences = sample_sentences(CORPUS, config.num_sentences, seed=config.seed)
-    pairs = [p for p in (tail_mask(s, config.mask_ratio) for s in sentences)
-             if p is not None]
+    pairs = _oracle_pairs(config)
     queries = load_dataset(curated / "full.jsonl")
     reports = []
     for step in (20, 0, 10):
         encoder = encoder_from_spec(spec)
         if step:
             rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0))
-        index = build_entity_index(encoder, load_entities(ENTITIES))
-        hits = score_predictions(contrastive_probe(encoder, index, queries, 10), queries)
-        reports.append(aggregate(hits, (1, 10), model=encoder.identity,
-                                 strategy="contrastive",
-                                 metadata={"checkpoint_step": step}))
+        reports.append(_oracle_report(encoder, queries, {"checkpoint_step": step}))
     write_step_curves_csv(step_curves(reports, k=1), tmp_path / "oracle.csv")
     assert ((out / "step_curves.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+
+
+def test_sweep_seeds_match_fresh_training(tmp_path, curated):
+    """Each seed of a seed sweep reports what a fresh encoder trained with
+    that seed to the config's probe step reports."""
+    spec, config_path = DEMO_ENCODER_SPEC, str(FIXTURES / "rewire_demo.json")
+    out = tmp_path / "seeds"
+    assert main(_sweep_argv("seed", "8,7", curated, config_path, "1", out,
+                            encoder=spec)) == 0
+    base = RewireConfig.from_json(config_path)
+    assert 0 < base.probe_checkpoint_step <= base.steps
+    queries = load_dataset(curated / "full.jsonl")
+    reports = []
+    for seed in (8, 7):
+        config = replace(base, seed=seed, steps=base.probe_checkpoint_step,
+                         checkpoint_every=0)
+        encoder = encoder_from_spec(spec)
+        rewire_train(encoder, _oracle_pairs(config), config)
+        reports.append(_oracle_report(encoder, queries, {"seed": seed}))
+    summary = stability_summary(reports)
+    write_csv(tmp_path / "oracle.csv",
+              ["relation_id", "acc1_mean", "acc1_std", "acc10_mean", "acc10_std"],
+              ([rel, *(f"{v:.6f}" for k in (1, 10) for v in stats[k])]
+               for rel, stats in [*summary.per_relation.items(), ("macro", summary.macro)]))
+    assert ((out / "stability.csv").read_bytes()
             == (tmp_path / "oracle.csv").read_bytes())
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -83,17 +84,15 @@ def test_load_triples_basic():
         "\tmay_treat\tmissing head\n"
     )
     result = load_triples(src)
-    assert [t.head_name for t in result.triples] == ["Entecavir", "Aspirin"]
-    assert result.triples[1].head_id == "C001"
-    assert result.triples[1].tail_id == "C002"
-    assert result.triples[0].head_id is None
+    assert [astuple(t) for t in result.triples] == [
+        ("Entecavir", "may_treat", "Hepatitis B"), ("Aspirin", "may_prevent", "Stroke")]
     assert result.malformed == 2
 
 
 def test_load_triples_four_fields():
     result = load_triples(io.StringIO("A\trel\tB\tID1\n"))
-    assert result.triples[0].head_id == "ID1"
-    assert result.triples[0].tail_id is None
+    assert [astuple(t) for t in result.triples] == [("A", "rel", "B")]
+    assert result.malformed == 0
 
 
 def test_load_triples_empty_stream():

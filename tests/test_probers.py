@@ -77,6 +77,12 @@ def test_duplicate_names_are_listed():
         build_entity_index(make_encoder(), ["Aspirin", "  aspirin "])
 
 
+def test_index_rejects_duplicate_names():
+    vectors = np.eye(3)
+    with pytest.raises(InputError, match="ASPIRIN, aspirin"):
+        EntityIndex(("Aspirin", "ASPIRIN", "aspirin"), vectors, "enc", 1)
+
+
 def test_index_vectors_are_frozen():
     index = build_entity_index(make_encoder(), SMALL_VOCAB)
     with pytest.raises(ValueError):
