@@ -99,7 +99,10 @@ class ReferenceEncoder(EncoderHandle):
 
     A text becomes an L2-normalized count vector of hashed lowercase
     trigrams (with boundary sentinels, so one-character strings still
-    produce features). That vector passes through a seeded linear map and
+    produce features). A trigram's bucket is crc32 of its UTF-8 bytes
+    modulo feature_dim; the encoder keeps a table of the buckets of the
+    trigrams it has seen, so each distinct trigram is hashed once per
+    encoder. That vector passes through a seeded linear map and
     then through max_layers residual tanh blocks; truncating to the first L
     blocks is exact layer chopping, the parameters of deeper blocks are
     never touched.
@@ -132,6 +135,9 @@ class ReferenceEncoder(EncoderHandle):
         ]
         self.step = 0
         self._feat_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # sorted trigram codes and their buckets; the last code is above any
+        # trigram's, so every lookup lands inside the table
+        self._trigram_table = (np.array([np.iinfo(np.int64).max]), np.array([-1]))
         self._train_cache = None
 
     @property
@@ -178,17 +184,26 @@ class ReferenceEncoder(EncoderHandle):
 
     def _cache_features(self, texts: list[str]) -> None:
         fd = self.feature_dim
-        crc32 = zlib.crc32
-        hashes: list[int] = []
-        lengths = []
-        for text in texts:
-            padded = "\x02" + text.lower() + "\x03"
-            lengths.append(len(padded) - 2)
-            hashes.extend([crc32(padded[j:j + 3].encode("utf-8"))
-                           for j in range(len(padded) - 2)])
+        padded = ["\x02" + text.lower() + "\x03" for text in texts]
+        ends = np.cumsum([len(p) for p in padded])
+        try:
+            points = np.frombuffer("".join(padded).encode("utf-32-le"), dtype="<u4")
+        except UnicodeEncodeError as exc:
+            bad = texts[int(np.searchsorted(ends, exc.start, side="right"))]
+            raise ValidationError(
+                f"encoder input {bad!r} is not valid Unicode: {exc.reason}") from exc
+        # one code per trigram, its three code points at 21 bits each; the
+        # two windows at the end of each text reach into the next and go
+        points = points.astype(np.int64)
+        codes = points[:-2] << 42
+        codes |= points[1:-1] << 21
+        codes |= points[2:]
+        codes = np.delete(codes, np.concatenate([ends[:-1] - 2, ends[:-1] - 1]))
+        distinct, inverse = np.unique(codes, return_inverse=True)
         # one key per trigram, row * feature_dim + bucket, counted in one pass
-        keys = np.repeat(np.arange(len(texts), dtype=np.int64) * fd, lengths)
-        keys += np.array(hashes, dtype=np.int64) % fd
+        keys = np.repeat(np.arange(len(texts), dtype=np.int64) * fd,
+                         np.diff(ends, prepend=0) - 2)
+        keys += self._trigram_buckets(distinct)[inverse]
         keys, counts = np.unique(keys, return_counts=True)
         rows, buckets = np.divmod(keys, fd)
         counts = counts.astype(float)
@@ -200,6 +215,23 @@ class ReferenceEncoder(EncoderHandle):
         bounds = bounds.tolist()
         for text, lo, hi in zip(texts, bounds, bounds[1:]):
             self._feat_cache[text] = (buckets[lo:hi], values[lo:hi])
+
+    def _trigram_buckets(self, codes: np.ndarray) -> np.ndarray:
+        """The bucket of each of the sorted distinct trigram codes, from the
+        encoder's code -> bucket table; crc32 runs only on codes it lacks."""
+        table, buckets = self._trigram_table
+        at = np.searchsorted(table, codes)
+        new = table[at] != codes
+        if new.any():
+            mask = (1 << 21) - 1
+            fresh = [zlib.crc32((chr(c >> 42) + chr(c >> 21 & mask) + chr(c & mask))
+                                .encode("utf-8")) % self.feature_dim
+                     for c in codes[new].tolist()]
+            table = np.insert(table, at[new], codes[new])
+            buckets = np.insert(buckets, at[new], fresh)
+            self._trigram_table = (table, buckets)
+            at = np.searchsorted(table, codes)
+        return buckets[at]
 
     def _block_weight(self, i: int) -> np.ndarray:
         # kept as a hook so tests can observe which blocks a forward pass reads

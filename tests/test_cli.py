@@ -396,6 +396,23 @@ def test_probe_invalid_k_exits_one(curated):
     assert code == 1
 
 
+def test_probe_lone_surrogate_query_exits_one(tmp_path, curated, capsys):
+    records = [json.loads(line) for line in (curated / "full.jsonl").read_text().splitlines()]
+    records[0]["query_text"] += " \ud800"
+    dataset = tmp_path / "surrogate.jsonl"
+    # json.dumps writes the lone surrogate as the escape "\ud800"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main(["probe", "--encoder", ENCODER_SPEC, "--dataset", str(dataset),
+                 "--entities", ENTITIES, "--strategy", "contrastive",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("probeforge: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert repr(records[0]["query_text"]) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_probe_mask_predict_stub(tmp_path, curated):
     out = tmp_path / "mp"
     code = main(["probe", "--encoder", STUB_MLM,

@@ -108,9 +108,14 @@ def dense_features(texts, feature_dim):
     return rows
 
 
+# characters whose lowercase is longer ("İ" -> "i̇"), astral-plane
+# characters, one with an astral lowercase, and the padding sentinels
+SPECIAL_CHARS = "İIiẞß\x02\x03\U0001F600\U00010400\U0010FFFF"
 FEATURE_TEXTS = st.one_of(
     st.text(min_size=1, max_size=1),
     st.text(min_size=1, max_size=40),
+    st.text(st.sampled_from(SPECIAL_CHARS) | st.characters(codec="utf-8"),
+            min_size=1, max_size=12),
     # repeated trigrams give counts above one in a bucket
     st.builds(lambda unit, times: unit * times,
               st.text(min_size=1, max_size=3), st.integers(2, 12)),
@@ -119,12 +124,15 @@ FEATURE_TEXTS = st.one_of(
 
 @given(st.lists(FEATURE_TEXTS, min_size=1, max_size=10),
        st.lists(FEATURE_TEXTS, max_size=6),
+       st.lists(FEATURE_TEXTS, max_size=6),
        st.sampled_from([16, 128, 2048]))
 @settings(max_examples=150, deadline=None)
-def test_sparse_features_are_bit_identical_to_dense_rows(first, second, feature_dim):
+def test_sparse_features_are_bit_identical_to_dense_rows(first, second, third, feature_dim):
     enc = ReferenceEncoder(dim=4, seed=0, layers=1, feature_dim=feature_dim)
-    # a second call mixes cached texts, new texts and repeats
-    for texts in (first, second + first[::-1] + second):
+    # a second call mixes cached texts, new texts and repeats; a third adds
+    # joins of cached texts, whose trigrams the encoder has mostly seen
+    joins = [a + b for a, b in zip(first, first[1:] + second)]
+    for texts in (first, second + first[::-1] + second, joins + third + first):
         rows, cols = enc._features(texts)
         assert rows.shape == (len(texts), len(cols))
         assert (np.diff(cols) > 0).all()
@@ -132,6 +140,25 @@ def test_sparse_features_are_bit_identical_to_dense_rows(first, second, feature_
         got = np.zeros((len(texts), feature_dim))
         got[:, cols] = rows
         assert got.tobytes() == dense_features(texts, feature_dim).tobytes()
+
+
+def test_each_distinct_trigram_is_hashed_once(monkeypatch):
+    hashed = []
+    crc32 = zlib.crc32
+    monkeypatch.setattr(zlib, "crc32", lambda data: hashed.append(data) or crc32(data))
+    a = ["Entecavir prevents hepatitis", "entecavir", "İstanbul \U0001F600", "aaaaaa"]
+    b = ["Hepatitis B reactivation", "ENTECAVIR prevents", "x"]
+    enc = ReferenceEncoder(dim=4, seed=0, layers=1, feature_dim=64)
+    enc._features(a)
+    enc._features(a + b)
+    padded = ["\x02" + t.lower() + "\x03" for t in a + b]
+    trigrams = {p[j:j + 3] for p in padded for j in range(len(p) - 2)}
+    assert len(hashed) == len(trigrams)
+    # a repeat, and new texts whose trigrams are all known, hash nothing
+    shouted = [t.upper() for t in a + b]
+    assert not set(shouted) & set(a + b)
+    enc._features(a + b + shouted)
+    assert len(hashed) == len(trigrams)
 
 
 def test_feature_cache_entry_is_sparse():
