@@ -130,22 +130,35 @@ def _masked_pairs(corpus, config: RewireConfig) -> list[MaskedPair]:
 
 
 def _resolve_checkpoint(checkpoint) -> Path:
-    """Accept either a checkpoint directory or a whole rewire output dir."""
+    """Accept either a checkpoint directory or a whole rewire output dir.
+
+    In a rewire dir the step directory counts only when the run's manifest,
+    written last, lists it: a step directory left by an earlier run into the
+    same dir holds that run's weights."""
     root = Path(checkpoint)
     if (root / "sidecar.json").is_file():
         return root
     config_path = root / "rewire_config.json"
     if config_path.is_file():
         config = RewireConfig.from_json(config_path)
-        if config.probe_checkpoint_step < 1:
+        step = config.probe_checkpoint_step
+        if step < 1:
             raise ConfigurationError(
-                f"{config_path}: probe_checkpoint_step is "
-                f"{config.probe_checkpoint_step}; pass a checkpoint directory")
-        step_dir = root / "checkpoints" / f"step_{config.probe_checkpoint_step:05d}"
-        if not (step_dir / "sidecar.json").is_file():
-            raise InputError(
-                f"no checkpoint at step {config.probe_checkpoint_step} under {root}")
-        return step_dir
+                f"{config_path}: probe_checkpoint_step is {step}; pass a checkpoint directory")
+        manifest_path = root / "manifest.json"
+        if not manifest_path.is_file():
+            raise InputError(f"{root}: the rewire run did not complete (no manifest.json)")
+        try:
+            outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read {manifest_path}: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{manifest_path}: no outputs list") from exc
+        step_dir = Path("checkpoints", f"step_{step:05d}")
+        if not isinstance(outputs, list) or str(step_dir) not in outputs:
+            raise InputError(f"no checkpoint at step {step} in the run recorded by "
+                             f"{manifest_path}")
+        return root / step_dir
     raise InputError(f"{root} holds neither a checkpoint nor a rewire run")
 
 
@@ -201,6 +214,9 @@ def cmd_rewire(args: argparse.Namespace) -> int:
     pairs = _masked_pairs(args.corpus, config)
 
     with _writing(out):
+        # the manifest marks a completed run, so a rerun into out drops the
+        # earlier run's before writing anything
+        (out / "manifest.json").unlink(missing_ok=True)
         result = rewire_train(encoder, pairs, config, out_dir=out)
         outputs = ["rewire_config.json", "loss_trace.csv"]
         outputs += [str(p.relative_to(out)) for p in result.checkpoint_dirs]

@@ -94,6 +94,19 @@ def unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return matrix / norms[:, None], norms
 
 
+def _reserved(array: np.ndarray, used: int, size: int, dtype=None) -> np.ndarray:
+    """array, if it has room for size entries of dtype (default: its own);
+    else a zeroed array of dtype, grown geometrically, holding its first used
+    entries. The slack is never written, so its pages never become resident."""
+    dtype = array.dtype if dtype is None else np.dtype(dtype)
+    if size <= len(array) and dtype == array.dtype:
+        return array
+    grown = np.zeros(len(array) if size <= len(array) else max(size, 2 * len(array)),
+                     dtype=dtype)
+    grown[:used] = array[:used]
+    return grown
+
+
 class ReferenceEncoder(EncoderHandle):
     """Deterministic trainable encoder over hashed character trigrams.
 
@@ -106,6 +119,14 @@ class ReferenceEncoder(EncoderHandle):
     then through max_layers residual tanh blocks; truncating to the first L
     blocks is exact layer chopping, the parameters of deeper blocks are
     never touched.
+
+    Each encoder keeps one append-only feature store, in CSR form, of every
+    distinct text it has featurized: a text -> row id dict, int64 row
+    offsets, and per trigram its bucket in the narrowest unsigned dtype that
+    holds feature_dim - 1 and its count as uint16 (widened to uint32 when a
+    text repeats a trigram more than 65,535 times), plus one float64 norm
+    per text. That is 4 bytes per stored trigram for feature_dim <= 65,536;
+    the normalized values are rebuilt per batch.
 
     The identity string embeds the constructor arguments and the number of
     SGD steps taken, so two handles compare equal exactly when their
@@ -134,7 +155,13 @@ class ReferenceEncoder(EncoderHandle):
             for _ in range(int(layers))
         ]
         self.step = 0
-        self._feat_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # the feature store: text -> row id; row r's trigram buckets and
+        # counts fill [indptr[r], indptr[r + 1]) and its norm is norms[r]
+        self._row_of: dict[str, int] = {}
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._buckets = np.zeros(0, dtype=np.min_scalar_type(self.feature_dim - 1))
+        self._counts = np.zeros(0, dtype=np.uint16)
+        self._norms = np.zeros(0)
         # sorted trigram codes and their buckets; the last code is above any
         # trigram's, so every lookup lands inside the table
         self._trigram_table = (np.array([np.iinfo(np.int64).max]), np.array([-1]))
@@ -158,31 +185,40 @@ class ReferenceEncoder(EncoderHandle):
 
         cols is the ascending array of buckets some text touches and rows the
         (len(texts), len(cols)) matrix of their values, so rows scattered back
-        at cols is the dense (len(texts), feature_dim) batch. The cache keeps
-        one sparse entry per distinct text: its sorted bucket indices and their
-        normalized values. Counts are small integers, so the sum of squares is
-        exact in any order and every value is bit-identical to normalizing the
-        dense count row.
+        at cols is the dense (len(texts), feature_dim) batch. Texts not yet in
+        the encoder's feature store are added to it first; the batch's runs
+        of buckets and counts are then gathered from the store, and each value
+        is rebuilt as its count over its text's norm. Counts are small
+        integers, so the sum of squares is exact in any order and every value
+        is bit-identical to normalizing the dense count row.
         """
-        cache = self._feat_cache
-        missing = [t for t in dict.fromkeys(texts) if t not in cache]
+        row_of = self._row_of
+        missing = [t for t in dict.fromkeys(texts) if t not in row_of]
         if missing:
             self._cache_features(missing)
         if not texts:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
-        entries = [cache[t] for t in texts]
-        buckets = np.concatenate([b for b, _ in entries])
+        ids = np.array([row_of[t] for t in texts])
+        starts = self._indptr[ids]
+        lengths = self._indptr[ids + 1] - starts
+        # store position of each of the batch's trigrams: its run's start
+        # plus its offset in the run
+        at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
+                                                  lengths)
+        buckets = self._buckets[at]
         touched = np.zeros(self.feature_dim, dtype=bool)
         touched[buckets] = True
         cols = np.flatnonzero(touched)
         # bucket -> its column in rows: the number of touched buckets below it
         remap = np.cumsum(touched) - 1
         rows = np.zeros((len(texts), len(cols)))
-        rows[np.repeat(np.arange(len(texts)), [len(b) for b, _ in entries]),
-             remap[buckets]] = np.concatenate([v for _, v in entries])
+        rows[np.repeat(np.arange(len(texts)), lengths), remap[buckets]] = \
+            self._counts[at] / np.repeat(self._norms[ids], lengths)
         return rows, cols
 
     def _cache_features(self, texts: list[str]) -> None:
+        """Append the trigram runs of texts, none of them stored yet, to the
+        feature store. Nothing is stored when a text fails validation."""
         fd = self.feature_dim
         padded = ["\x02" + text.lower() + "\x03" for text in texts]
         ends = np.cumsum([len(p) for p in padded])
@@ -206,15 +242,26 @@ class ReferenceEncoder(EncoderHandle):
         keys += self._trigram_buckets(distinct)[inverse]
         keys, counts = np.unique(keys, return_counts=True)
         rows, buckets = np.divmod(keys, fd)
-        counts = counts.astype(float)
         # every text yields at least one trigram, so each row owns a run of keys
         bounds = np.searchsorted(rows, np.arange(len(texts) + 1))
-        norms = np.sqrt(np.add.reduceat(counts * counts, bounds[:-1]))
-        values = counts / norms[rows]
-        buckets = buckets.astype(np.int32)
-        bounds = bounds.tolist()
-        for text, lo, hi in zip(texts, bounds, bounds[1:]):
-            self._feat_cache[text] = (buckets[lo:hi], values[lo:hi])
+        floats = counts.astype(float)
+        norms = np.sqrt(np.add.reduceat(floats * floats, bounds[:-1]))
+
+        n = len(self._row_of)
+        m = int(self._indptr[n])
+        n_new, m_new = n + len(texts), m + len(keys)
+        self._indptr = _reserved(self._indptr, n + 1, n_new + 1)
+        self._indptr[n + 1:n_new + 1] = m + bounds[1:]
+        self._norms = _reserved(self._norms, n, n_new)
+        self._norms[n:n_new] = norms
+        self._buckets = _reserved(self._buckets, m, m_new)
+        self._buckets[m:m_new] = buckets
+        # counts widen once a text repeats a trigram more often than they hold
+        self._counts = _reserved(self._counts, m, m_new, np.promote_types(
+            self._counts.dtype, np.min_scalar_type(counts.max())))
+        self._counts[m:m_new] = counts
+        # the rows count as stored only now, so a failed append stores nothing
+        self._row_of.update(zip(texts, range(n, n_new)))
 
     def _trigram_buckets(self, codes: np.ndarray) -> np.ndarray:
         """The bucket of each of the sorted distinct trigram codes, from the

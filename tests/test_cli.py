@@ -12,6 +12,7 @@ from probeforge import cli
 from probeforge.cli import main
 from probeforge.curator import load_dataset
 from probeforge.encoders import encoder_from_spec
+from probeforge.errors import InputError
 from probeforge.evaluation import (ExpertAnnotation, aggregate, load_report,
                                    save_annotations, score_predictions,
                                    stability_summary, step_curves,
@@ -215,6 +216,56 @@ def test_probe_from_step_dir(tmp_path, curated, rewired):
     assert code == 0
     assert "@step20" in read_manifest(out)["config"]["model"]
 
+
+
+def _probe_rewire_dir_error(rewire_dir: Path, curated: Path, out: Path, capsys) -> str:
+    code = main(["probe", "--checkpoint", str(rewire_dir),
+                 "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--strategy", "contrastive",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("probeforge: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    return err
+
+
+def test_probe_rejects_step_dir_left_by_an_earlier_run(tmp_path, curated, rewired,
+                                                       config_path, capsys):
+    rerun = tmp_path / "rerun"
+    shutil.copytree(rewired, rerun)
+    # the rerun checkpoints only step 20, so step_00010 is the first run's
+    code = main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+                 "--config", config_path, "--checkpoint-every", "20",
+                 "--out", str(rerun)])
+    assert code == 0
+    assert (rerun / "checkpoints" / "step_00010" / "sidecar.json").is_file()
+    assert read_manifest(rerun)["outputs"] == [
+        "checkpoints/step_00020", "loss_trace.csv", "rewire_config.json"]
+    err = _probe_rewire_dir_error(rerun, curated, tmp_path / "probe", capsys)
+    assert "no checkpoint at step 10" in err
+
+
+def test_probe_rejects_rewire_dir_without_manifest(tmp_path, curated, rewired,
+                                                   config_path, monkeypatch, capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(rewired, copy)
+    (copy / "manifest.json").unlink()
+    err = _probe_rewire_dir_error(copy, curated, tmp_path / "probe", capsys)
+    assert "did not complete" in err
+
+    # a rerun that fails takes the earlier run's manifest with it
+    def fail(*args, **kwargs):
+        raise InputError("interrupted")
+
+    shutil.copytree(rewired, tmp_path / "failed")
+    monkeypatch.setattr(cli, "rewire_train", fail)
+    assert main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+                 "--config", config_path, "--out", str(tmp_path / "failed")]) == 1
+    capsys.readouterr()
+    err = _probe_rewire_dir_error(tmp_path / "failed", curated, tmp_path / "probe", capsys)
+    assert "did not complete" in err
 
 def _truncate_weights(ckpt: Path) -> str:
     path = ckpt / "w_in.npy"

@@ -2,7 +2,6 @@ import filecmp
 import hashlib
 import json
 import shutil
-import sys
 import zlib
 
 import numpy as np
@@ -161,16 +160,48 @@ def test_each_distinct_trigram_is_hashed_once(monkeypatch):
     assert len(hashed) == len(trigrams)
 
 
-def test_feature_cache_entry_is_sparse():
-    enc = ReferenceEncoder(dim=16, seed=0, layers=1, feature_dim=2048)
-    text = "Entecavir may prevent hepatitis B reactivation in carriers [MASK] ."
-    enc.encode([text])
-    buckets, values = enc._feat_cache[text]
-    assert len(buckets) == len(values) <= len(text)
-    size = sum(sys.getsizeof(arr) + arr.nbytes for arr in (buckets, values))
-    # a dense float64 row would take feature_dim * 8 bytes; the entry
-    # (both arrays, their headers and buffers) must take under an eighth
-    assert size < enc.feature_dim * 8 // 8
+@pytest.mark.parametrize("feature_dim", [128, 2048, 65536])
+def test_feature_store_takes_four_bytes_per_trigram(feature_dim):
+    enc = ReferenceEncoder(dim=16, seed=0, layers=1, feature_dim=feature_dim)
+    texts = [f"Entecavir may prevent hepatitis B reactivation in carrier {i} [MASK] ."
+             for i in range(40)]
+    enc.encode(texts[:25])
+    enc.encode(texts)
+    n = len(enc._row_of)
+    trigrams = int(enc._indptr[n])
+    assert n == len(texts) and trigrams > 40 * n
+    used = sum(arr.nbytes for arr in (enc._indptr[:n + 1], enc._norms[:n],
+                                      enc._buckets[:trigrams], enc._counts[:trigrams]))
+    # a bucket and a count per trigram; per text an offset and a norm
+    assert used <= 4 * trigrams + 16 * n + 8
+
+
+@pytest.mark.parametrize("texts,feature_dim,dtypes", [
+    # a trigram repeated more often than a uint16 count holds
+    (["ab", "a" * 70000, "Hepatitis B", "aaa"], 128, (np.uint8, np.uint32)),
+    # buckets above what a uint16 holds
+    (["ab", *TEXTS, "İstanbul \U0001F600"], 70000, (np.uint32, np.uint16)),
+], ids=["wide-counts", "wide-buckets"])
+def test_widened_store_is_bit_identical_to_dense_rows(texts, feature_dim, dtypes):
+    enc = ReferenceEncoder(dim=4, seed=0, layers=1, feature_dim=feature_dim)
+    # the first batch is stored before any wide value arrives
+    for batch in (texts[:1], texts, texts[::-1]):
+        rows, cols = enc._features(batch)
+        got = np.zeros((len(batch), feature_dim))
+        got[:, cols] = rows
+        assert got.tobytes() == dense_features(batch, feature_dim).tobytes()
+    assert (enc._buckets.dtype, enc._counts.dtype) == dtypes
+
+
+def test_failed_batch_leaves_the_feature_store_as_it_was():
+    spec = dict(dim=8, seed=2, layers=2, feature_dim=256)
+    enc = ReferenceEncoder(**spec)
+    enc.encode(["Hepatitis B", "listen gene"])
+    valid = ["Entecavir might treat [MASK] .", "Hepatitis B", "silent gene"]
+    with pytest.raises(ValidationError, match="not valid Unicode"):
+        enc.encode(valid + ["lone \ud800 surrogate"])
+    fresh = ReferenceEncoder(**spec).encode(valid)
+    assert enc.encode(valid).tobytes() == fresh.tobytes()
 
 
 def dense_forward(enc, texts):
