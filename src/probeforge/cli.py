@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from contextlib import contextmanager
@@ -215,8 +216,11 @@ def cmd_rewire(args: argparse.Namespace) -> int:
 
     with _writing(out):
         # the manifest marks a completed run, so a rerun into out drops the
-        # earlier run's before writing anything
+        # earlier run's before writing anything, and with it the earlier
+        # run's step directories, which this run's manifest would not list
         (out / "manifest.json").unlink(missing_ok=True)
+        for step_dir in (out / "checkpoints").glob("step_*"):
+            shutil.rmtree(step_dir)
         result = rewire_train(encoder, pairs, config, out_dir=out)
         outputs = ["rewire_config.json", "loss_trace.csv"]
         outputs += [str(p.relative_to(out)) for p in result.checkpoint_dirs]
@@ -401,8 +405,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     strategy = strategies[0] if strategies else ""
 
     hits = score_predictions(split_preds, split_queries, k_values)
+    # a query without a prediction still scores as all misses; the count
+    # makes a truncated predictions file visible in the report
     report = aggregate(hits, k_values, model=args.model, strategy=strategy,
-                       split=args.split)
+                       split=args.split,
+                       metadata={"missing_predictions": len(split_ids) - len(split_preds)})
 
     bins = rescored = None
     if args.length_bins:

@@ -10,10 +10,12 @@ caller.
 Retrieval is exact: every query is scored against every entity, and the
 top k come out ordered by descending score with ties going to the lower
 entity index. Names and queries are encoded, and queries scored, in blocks
-of at most BLOCK_BYTES of float64 rows: feature rows at most feature_dim
-wide, and score rows with one entry per entity. So memory is bounded by one
-block plus the index and the query embeddings, whatever the vocabulary
-size.
+of at most BLOCK_BYTES of float64 rows: an encode block holds feature rows
+at most feature_dim wide, and a score block holds one score row per query
+plus the partitioned copy that k-selection makes, each one entry per entity
+wide. Only one block is alive at a time, so retrieval's working memory
+stays within BLOCK_BYTES on top of the index and the query embeddings,
+whatever the vocabulary size.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ UNIT_NORM_TOL = 1e-6
 DEFAULT_NUM_MASKS = 5
 MASK_STRATEGIES = ("independent", "order", "confidence")
 # most bytes of float64 rows one block may hold: the feature rows an encode
-# builds, and the score rows of the queries being ranked
+# builds, or the score rows of the queries being ranked with their partition
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -115,7 +117,9 @@ class EntityIndex:
             raise ValidationError(
                 f"expected {len(self.entity_names)} vector rows, got shape {self.vectors.shape}"
             )
-        norms = np.linalg.norm(self.vectors, axis=1)
+        # row by row, with no squared copy of the whole index; a NaN or inf
+        # row has a NaN or inf norm and fails the check
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValidationError("entity index rows must have unit norm")
         seen: set[str] = set()
@@ -160,12 +164,13 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     Each prediction holds the min(k, len(index)) entities with the highest
     scores, ordered by descending score; equal scores keep index order, so
     the result equals sorting every entity by (-score, entity index).
-    Queries are encoded, then scored, a block at a time, a block holding
-    at most BLOCK_BYTES of feature or score rows, so memory is bounded by
-    one block plus the index and the query embeddings. Within a score
-    block, np.partition finds each row's k-th largest score, and only the
-    entities scoring at least that much are sorted (exact flat
-    k-selection).
+    Queries are encoded, then scored, a block at a time. An encode block
+    holds at most BLOCK_BYTES of feature rows; a score block's rows and the
+    copy np.partition makes of them together hold at most BLOCK_BYTES, and
+    one score block is alive at a time. So memory is bounded by one block
+    plus the index and the query embeddings. Within a score block,
+    np.partition finds each row's k-th largest score, and only the entities
+    scoring at least that much are sorted (exact flat k-selection).
     """
     if encoder.identity != index.encoder_identity:
         raise ConfigurationError(
@@ -174,20 +179,32 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
         )
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    n = len(index)
-    top = min(k, n)
+    top = min(k, len(index))
     encoded = _encode_units(encoder, [q.query_text for q in queries], index.layer_limit)
     predictions = []
-    for block in _blocks(len(queries), n):
-        sims = encoded[block] @ index.vectors.T
-        kth = np.partition(sims, n - top, axis=1)[:, n - top]
-        for query, scores, floor in zip(queries[block], sims, kth):
-            candidates = np.flatnonzero(scores >= floor)
-            order = candidates[np.argsort(-scores[candidates], kind="stable")[:top]]
-            predictions.append(RankedPrediction(
-                query.query_id,
-                tuple((index.entity_names[j], float(scores[j])) for j in order),
-                strategy="contrastive"))
+    # each score row has a partitioned copy beside it, hence twice the width
+    for block in _blocks(len(queries), 2 * len(index)):
+        predictions += _rank_block(index, queries[block], encoded[block], top)
+    return predictions
+
+
+def _rank_block(index: EntityIndex, queries: Sequence[ProbeQuery],
+                vectors: np.ndarray, top: int) -> list[RankedPrediction]:
+    # the block's scores die when this returns, before the next block's
+    # product is allocated
+    n = len(index)
+    sims = vectors @ index.vectors.T
+    # a copy, so the partitioned array is freed at once instead of living on
+    # as the base of a column view
+    kth = np.partition(sims, n - top, axis=1)[:, n - top].copy()
+    predictions = []
+    for query, scores, floor in zip(queries, sims, kth):
+        candidates = np.flatnonzero(scores >= floor)
+        order = candidates[np.argsort(-scores[candidates], kind="stable")[:top]]
+        predictions.append(RankedPrediction(
+            query.query_id,
+            tuple((index.entity_names[j], float(scores[j])) for j in order),
+            strategy="contrastive"))
     return predictions
 
 

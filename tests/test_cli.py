@@ -240,7 +240,7 @@ def test_probe_rejects_step_dir_left_by_an_earlier_run(tmp_path, curated, rewire
                  "--config", config_path, "--checkpoint-every", "20",
                  "--out", str(rerun)])
     assert code == 0
-    assert (rerun / "checkpoints" / "step_00010" / "sidecar.json").is_file()
+    assert not (rerun / "checkpoints" / "step_00010").exists()
     assert read_manifest(rerun)["outputs"] == [
         "checkpoints/step_00020", "loss_trace.csv", "rewire_config.json"]
     err = _probe_rewire_dir_error(rerun, curated, tmp_path / "probe", capsys)
@@ -519,7 +519,22 @@ def test_eval_report_and_csv(tmp_path, curated, probed, capsys):
     assert report.strategy == "contrastive"
     assert report.k_values == (1, 10)
     assert report.total_queries == 54
+    assert report.metadata == {"missing_predictions": 0}
     assert (out / "report.csv").is_file()
+
+
+def test_eval_reports_missing_predictions(tmp_path, curated, probed):
+    # a truncated predictions file still scores, but the report says how many
+    # queries went without a prediction
+    lines = (probed / "predictions.jsonl").read_text(encoding="utf-8").splitlines(True)
+    truncated = tmp_path / "predictions.jsonl"
+    truncated.write_text("".join(lines[:20]), encoding="utf-8")
+    out = tmp_path / "eval"
+    assert main(["eval", "--predictions", str(truncated),
+                 "--dataset", str(curated / "full.jsonl"), "--out", str(out)]) == 0
+    report = load_report(out / "report.json")
+    assert report.total_queries == 54
+    assert report.metadata["missing_predictions"] == 54 - 20
 
 
 def test_eval_hard_split(tmp_path, curated, probed):

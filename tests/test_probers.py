@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -248,8 +249,9 @@ def test_blocked_topk_equals_exhaustive_oracle(case):
     encoder = TableEncoder({f"query {i}": v for i, v in enumerate(vectors)})
     index = EntityIndex(names, index_rows, encoder.identity, 1)
     queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(len(vectors))]
-    # query blocks of at most rows_per_block rows, so runs straddle them
-    with mock.patch.object(probers, "BLOCK_BYTES", 8 * len(axes) * rows_per_block):
+    # query blocks of at most rows_per_block rows, so runs straddle them; a
+    # score row takes twice its width, for its partitioned copy
+    with mock.patch.object(probers, "BLOCK_BYTES", 16 * len(axes) * rows_per_block):
         predictions = contrastive_probe(encoder, index, queries, k=k)
     assert [p.query_id for p in predictions] == [q.query_id for q in queries]
     for pred, vector in zip(predictions, vectors):
@@ -286,9 +288,34 @@ def test_blocking_keeps_index_and_rankings():
 
 
 def test_index_rejects_non_finite_rows():
-    vectors = np.array([[1.0, 0.0], [np.nan, 0.0]])
-    with pytest.raises(ValidationError, match="unit norm"):
-        EntityIndex(("a", "b"), vectors, "enc", 1)
+    for bad in (np.nan, np.inf):
+        vectors = np.array([[1.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValidationError, match="unit norm"):
+            EntityIndex(("a", "b"), vectors, "enc", 1)
+
+
+def test_ranking_memory_stays_within_one_block():
+    # 4,000 entities and 64 queries: a score block of 16 rows, with its
+    # partitioned copy, is 1 MB, far above the query embeddings and the
+    # predictions, so the traced peak measures how many blocks are alive
+    rng = np.random.default_rng(0)
+    n, dim, n_queries = 4000, 16, 64
+    vectors = rng.standard_normal((n, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    encoder = TableEncoder({f"query {i}": rng.standard_normal(dim) for i in range(n_queries)})
+    index = EntityIndex(tuple(f"entity {i}" for i in range(n)), vectors, encoder.identity, 1)
+    queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(n_queries)]
+    block_bytes = 16 * 2 * 8 * n
+    with mock.patch.object(probers, "BLOCK_BYTES", block_bytes):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            predictions = contrastive_probe(encoder, index, queries, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(predictions) == n_queries
+    assert peak - start <= 1.5 * block_bytes
 
 
 def test_bad_k_and_empty_queries():
