@@ -23,7 +23,7 @@ import zlib
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,7 +88,8 @@ def _validate_texts(texts) -> list[str]:
 def unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The rows of matrix scaled to unit L2 norm, and their norms. A zero or
     non-finite norm raises NumericalError naming what."""
-    norms = np.linalg.norm(matrix, axis=1)
+    # the sum np.linalg.norm(matrix, axis=1) takes, less its copy of matrix
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
     if not (np.isfinite(norms).all() and (norms > 0).all()):
         raise NumericalError(f"{what} contains a zero or non-finite row norm")
     return matrix / norms[:, None], norms
@@ -107,6 +108,17 @@ def _reserved(array: np.ndarray, used: int, size: int, dtype=None) -> np.ndarray
     return grown
 
 
+class _TrainCache(NamedTuple):
+    """What forward_train keeps for the one backward_train that follows."""
+
+    phi: np.ndarray           # (n, len(cols)) feature values on the touched buckets
+    cols: np.ndarray          # the touched buckets, ascending
+    w_cols: np.ndarray        # w_in[cols] as the forward pass read it
+    states: list[np.ndarray]  # the input to each block, then the output
+    tanhs: list[np.ndarray]   # each block's tanh activation
+    limit: int                # the number of blocks run
+
+
 class ReferenceEncoder(EncoderHandle):
     """Deterministic trainable encoder over hashed character trigrams.
 
@@ -123,10 +135,11 @@ class ReferenceEncoder(EncoderHandle):
     Each encoder keeps one append-only feature store, in CSR form, of every
     distinct text it has featurized: a text -> row id dict, int64 row
     offsets, and per trigram its bucket in the narrowest unsigned dtype that
-    holds feature_dim - 1 and its count as uint16 (widened to uint32 when a
-    text repeats a trigram more than 65,535 times), plus one float64 norm
-    per text. That is 4 bytes per stored trigram for feature_dim <= 65,536;
-    the normalized values are rebuilt per batch.
+    holds feature_dim - 1 and its count as uint8 (widened to uint16, then
+    uint32, once a text repeats a trigram more than 255, then 65,535 times),
+    plus one float64 norm per text. That is 3 bytes per stored trigram for
+    feature_dim <= 65,536 while no count passes 255; the normalized values
+    are rebuilt per batch.
 
     The identity string embeds the constructor arguments and the number of
     SGD steps taken, so two handles compare equal exactly when their
@@ -160,7 +173,7 @@ class ReferenceEncoder(EncoderHandle):
         self._row_of: dict[str, int] = {}
         self._indptr = np.zeros(1, dtype=np.int64)
         self._buckets = np.zeros(0, dtype=np.min_scalar_type(self.feature_dim - 1))
-        self._counts = np.zeros(0, dtype=np.uint16)
+        self._counts = np.zeros(0, dtype=np.uint8)
         self._norms = np.zeros(0)
         # sorted trigram codes and their buckets; the last code is above any
         # trigram's, so every lookup lands inside the table
@@ -193,27 +206,30 @@ class ReferenceEncoder(EncoderHandle):
         is bit-identical to normalizing the dense count row.
         """
         row_of = self._row_of
-        missing = [t for t in dict.fromkeys(texts) if t not in row_of]
-        if missing:
-            self._cache_features(missing)
+        if not all(map(row_of.__contains__, texts)):
+            self._cache_features([t for t in dict.fromkeys(texts) if t not in row_of])
         if not texts:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
-        ids = np.array([row_of[t] for t in texts])
+        ids = np.fromiter(map(row_of.__getitem__, texts), dtype=np.intp, count=len(texts))
         starts = self._indptr[ids]
         lengths = self._indptr[ids + 1] - starts
         # store position of each of the batch's trigrams: its run's start
         # plus its offset in the run
         at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
                                                   lengths)
-        buckets = self._buckets[at]
+        # as intp, so that each indexing below uses them without a cast
+        buckets = self._buckets[at].astype(np.intp)
         touched = np.zeros(self.feature_dim, dtype=bool)
         touched[buckets] = True
         cols = np.flatnonzero(touched)
-        # bucket -> its column in rows: the number of touched buckets below it
-        remap = np.cumsum(touched) - 1
+        # touched bucket -> its column in rows
+        remap = np.empty(self.feature_dim, dtype=np.intp)
+        remap[cols] = np.arange(len(cols))
         rows = np.zeros((len(texts), len(cols)))
-        rows[np.repeat(np.arange(len(texts)), lengths), remap[buckets]] = \
-            self._counts[at] / np.repeat(self._norms[ids], lengths)
+        # each trigram's flat position in rows: its text's row start plus its column
+        flat = np.repeat(np.arange(0, rows.size, len(cols)), lengths)
+        flat += remap[buckets]
+        rows.ravel()[flat] = self._counts[at] / np.repeat(self._norms[ids], lengths)
         return rows, cols
 
     def _cache_features(self, texts: list[str]) -> None:
@@ -289,14 +305,16 @@ class ReferenceEncoder(EncoderHandle):
         # buckets no text touches add nothing to the projection, so only the
         # touched rows of w_in take part
         phi, cols = self._features(_validate_texts(texts))
-        states = [phi @ self.w_in[cols]]
+        w_cols = self.w_in[cols]
+        states = [phi @ w_cols]
         tanhs = []
         for i in range(limit):
-            t = np.tanh(states[-1] @ self._block_weight(i))
+            t = states[-1] @ self._block_weight(i)
+            np.tanh(t, out=t)
             tanhs.append(t)
             states.append(states[-1] + t)
         if keep_cache:
-            self._train_cache = (phi, cols, states, tanhs, limit)
+            self._train_cache = _TrainCache(phi, cols, w_cols, states, tanhs, limit)
         return states[-1]
 
     def encode(self, texts, layer_limit=None):
@@ -308,7 +326,7 @@ class ReferenceEncoder(EncoderHandle):
     def backward_train(self, grad_outputs, learning_rate):
         if self._train_cache is None:
             raise ValidationError("backward_train requires a preceding forward_train")
-        phi, cols, states, tanhs, limit = self._train_cache
+        phi, cols, w_cols, states, tanhs, limit = self._train_cache
         self._train_cache = None
         g = np.asarray(grad_outputs, dtype=float)
         if g.shape != states[-1].shape:
@@ -317,14 +335,23 @@ class ReferenceEncoder(EncoderHandle):
             )
         block_grads = {}
         for i in reversed(range(limit)):
-            dt = g * (1.0 - tanhs[i] ** 2)
+            dt = np.square(tanhs[i])
+            np.subtract(1.0, dt, out=dt)
+            dt *= g
             block_grads[i] = states[i].T @ dt
-            g = g + dt @ self.blocks[i].T
+            # a new array, so the caller's gradient is never written
+            carried = dt @ self.blocks[i].T
+            carried += g
+            g = carried
         # the dense gradient of an untouched bucket is a row of zeros, so the
         # touched rows alone carry the whole update
-        self.w_in[cols] -= learning_rate * (phi.T @ g)
+        step = phi.T @ g
+        step *= learning_rate
+        w_cols -= step
+        self.w_in[cols] = w_cols
         for i, grad in block_grads.items():
-            self.blocks[i] -= learning_rate * grad
+            grad *= learning_rate
+            self.blocks[i] -= grad
         self.step += 1
 
     def state_arrays(self):
@@ -345,6 +372,8 @@ class ReferenceEncoder(EncoderHandle):
         self.w_in = np.array(arrays["w_in"], dtype=float)
         self.blocks = [np.array(arrays[f"block_{i:02d}"], dtype=float)
                        for i in range(len(self.blocks))]
+        # the cache holds rows of the weights just replaced
+        self._train_cache = None
 
     def sidecar_config(self):
         return {"dim": self.dim, "seed": self.seed,

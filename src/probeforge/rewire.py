@@ -100,7 +100,7 @@ class RewireConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaskedPair:
     query: str
     answer: str
@@ -185,7 +185,9 @@ def tail_mask(sentence: str, mask_ratio: float,
     return MaskedPair(query=query, answer=" ".join(words[w - m:]))
 
 
-def _infonce_parts(query_vectors, answer_vectors, temperature, with_grads):
+def _infonce(query_vectors, answer_vectors, temperature, with_grads):
+    """The loss and, with_grads, its gradient with respect to the stacked
+    (2N, d) matrix of the query rows over the answer rows (else None)."""
     q = np.asarray(query_vectors, dtype=float)
     a = np.asarray(answer_vectors, dtype=float)
     if q.ndim != 2 or q.shape != a.shape or q.shape[0] < 1:
@@ -193,31 +195,44 @@ def _infonce_parts(query_vectors, answer_vectors, temperature, with_grads):
     if temperature <= 0:
         raise ConfigurationError("temperature must be positive")
     n = q.shape[0]
-    u, q_norms = unit_rows(q, "query_vectors")
-    a_hat, a_norms = unit_rows(a, "answer_vectors")
-    z = np.vstack([u, a_hat])
-    scores = (u @ z.T) / temperature                      # (n, 2n)
-    np.fill_diagonal(scores[:, :n], -np.inf)              # an anchor never scores itself
+    try:
+        z, norms = unit_rows(np.concatenate([q, a]), "stacked vectors")
+    except NumericalError:
+        # check each half apart, so that the error names the one at fault
+        unit_rows(q, "query_vectors")
+        unit_rows(a, "answer_vectors")
+        raise
+    u = z[:n]
+    scores = u @ z.T                                      # (n, 2n)
+    scores /= temperature
+    # in the flat scores, anchor i's own slot (i, i) is at i * (2n + 1) and
+    # its positive (i, n + i) is n entries later
+    flat, stride = scores.ravel(), 2 * n + 1
+    flat[::stride] = -np.inf                              # an anchor never scores itself
+    pos = flat[n::stride].copy()
     row_max = scores.max(axis=1)
-    shifted = np.exp(scores - row_max[:, None])           # exp(-inf) -> 0 at the self slot
-    lse = row_max + np.log(shifted.sum(axis=1))
-    pos = scores[np.arange(n), n + np.arange(n)]
+    scores -= row_max[:, None]
+    shifted = np.exp(scores, out=scores)                  # exp(-inf) -> 0 at the self slot
+    denominators = shifted.sum(axis=1)
+    lse = row_max + np.log(denominators)
     loss = float((lse - pos).sum())
     if not with_grads:
-        return loss, None, None
+        return loss, None
 
-    softmax = shifted / shifted.sum(axis=1)[:, None]
-    g = softmax.copy()
-    g[np.arange(n), n + np.arange(n)] -= 1.0
-    d_anchor = (g @ z) / temperature                      # dL/d(unit query), anchor role
-    d_columns = (g.T @ u) / temperature                   # dL/d(unit vector), contrast role
-    d_unit_q = d_anchor + d_columns[:n]
-    d_unit_a = d_columns[n:]
-
-    def through_norm(grad, unit, norms):
-        return (grad - (grad * unit).sum(axis=1, keepdims=True) * unit) / norms[:, None]
-
-    return loss, through_norm(d_unit_q, u, q_norms), through_norm(d_unit_a, a_hat, a_norms)
+    g = shifted                                           # softmax minus the one-hot positive
+    g /= denominators[:, None]
+    flat[n::stride] -= 1.0
+    grads = g.T @ u                                       # dL/d(unit vector), contrast role
+    grads /= temperature
+    d_anchor = g @ z                                      # dL/d(unit query), anchor role
+    d_anchor /= temperature
+    grads[:n] += d_anchor
+    # through the normalization: drop the radial part, scale by 1 / norm
+    radial = grads * z
+    np.multiply(radial.sum(axis=1, keepdims=True), z, out=radial)
+    grads -= radial
+    grads /= norms[:, None]
+    return loss, grads
 
 
 def infonce_loss(query_vectors, answer_vectors, temperature: float) -> float:
@@ -228,13 +243,19 @@ def infonce_loss(query_vectors, answer_vectors, temperature: float) -> float:
     Cosine similarity, scaled by the temperature. A single pair scores
     exactly zero since its denominator holds only the positive.
     """
-    loss, _, _ = _infonce_parts(query_vectors, answer_vectors, temperature, with_grads=False)
+    loss, _ = _infonce(query_vectors, answer_vectors, temperature, with_grads=False)
     return loss
 
 
 def infonce_loss_and_grads(query_vectors, answer_vectors, temperature: float):
-    """Loss plus analytic gradients w.r.t. the raw query and answer matrices."""
-    return _infonce_parts(query_vectors, answer_vectors, temperature, with_grads=True)
+    """Loss plus analytic gradients w.r.t. the raw query and answer matrices.
+
+    The two gradients are the halves of one (2N, d) array, their common
+    base, which rewire_train hands to backward_train without restacking.
+    """
+    loss, grads = _infonce(query_vectors, answer_vectors, temperature, with_grads=True)
+    n = len(grads) // 2
+    return loss, grads[:n], grads[n:]
 
 
 class TraceRow(NamedTuple):
@@ -298,17 +319,17 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
             perm = np.random.default_rng([config.seed, epoch]).permutation(len(pairs))
             current_epoch = epoch
         offset = ((step - 1) % batches_per_epoch) * config.batch_size
-        batch = perm[offset:offset + config.batch_size]
+        batch = perm[offset:offset + config.batch_size].tolist()
         queries = [all_queries[i] for i in batch]
-        answers = [all_answers[i] for i in batch]
-        outputs = encoder.forward_train(queries + answers)
+        outputs = encoder.forward_train(queries + [all_answers[i] for i in batch])
         n = len(batch)
-        loss, dq, da = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
+        loss, dq, _ = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
         if not math.isfinite(loss):
             raise NumericalError(
                 f"non-finite loss at step {step} (batch {_batch_fingerprint(queries)})"
             )
-        encoder.backward_train(np.vstack([dq, da]), config.learning_rate)
+        # dq and the answers' gradient are the halves of one stacked array
+        encoder.backward_train(dq.base, config.learning_rate)
         trace.append(TraceRow(step, loss, loss / n))
         if ckpt_root is not None and config.checkpoint_every > 0 \
                 and step % config.checkpoint_every == 0:

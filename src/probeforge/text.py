@@ -51,8 +51,10 @@ def contains_contiguous(needle: list[str], haystack: list[str]) -> bool:
 
 
 def truncate_tokens(text: str, max_tokens: int) -> str:
-    """Keep at most max_tokens whitespace tokens, rejoined by single spaces."""
-    return " ".join(text.split()[:max_tokens])
+    """Keep at most max_tokens whitespace tokens, rejoined by single spaces.
+    A text that this leaves unchanged comes back as the same object."""
+    kept = " ".join(text.split()[:max_tokens])
+    return text if kept == text else kept
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:

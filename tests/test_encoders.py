@@ -161,7 +161,7 @@ def test_each_distinct_trigram_is_hashed_once(monkeypatch):
 
 
 @pytest.mark.parametrize("feature_dim", [128, 2048, 65536])
-def test_feature_store_takes_four_bytes_per_trigram(feature_dim):
+def test_feature_store_takes_three_bytes_per_trigram(feature_dim):
     enc = ReferenceEncoder(dim=16, seed=0, layers=1, feature_dim=feature_dim)
     texts = [f"Entecavir may prevent hepatitis B reactivation in carrier {i} [MASK] ."
              for i in range(40)]
@@ -173,15 +173,17 @@ def test_feature_store_takes_four_bytes_per_trigram(feature_dim):
     used = sum(arr.nbytes for arr in (enc._indptr[:n + 1], enc._norms[:n],
                                       enc._buckets[:trigrams], enc._counts[:trigrams]))
     # a bucket and a count per trigram; per text an offset and a norm
-    assert used <= 4 * trigrams + 16 * n + 8
+    assert used <= 3 * trigrams + 16 * n + 8
 
 
 @pytest.mark.parametrize("texts,feature_dim,dtypes", [
+    # a trigram repeated more often than a uint8 count holds
+    (["ab", "a" * 300, "Hepatitis B", "aaa"], 128, (np.uint8, np.uint16)),
     # a trigram repeated more often than a uint16 count holds
     (["ab", "a" * 70000, "Hepatitis B", "aaa"], 128, (np.uint8, np.uint32)),
     # buckets above what a uint16 holds
-    (["ab", *TEXTS, "İstanbul \U0001F600"], 70000, (np.uint32, np.uint16)),
-], ids=["wide-counts", "wide-buckets"])
+    (["ab", *TEXTS, "İstanbul \U0001F600"], 70000, (np.uint32, np.uint8)),
+], ids=["uint16-counts", "wide-counts", "wide-buckets"])
 def test_widened_store_is_bit_identical_to_dense_rows(texts, feature_dim, dtypes):
     enc = ReferenceEncoder(dim=4, seed=0, layers=1, feature_dim=feature_dim)
     # the first batch is stored before any wide value arrives
@@ -217,10 +219,11 @@ def dense_sgd_step(enc, texts, grad_outputs, learning_rate):
     gradient taken over the dense feature batch. The residual stack reuses
     enc's cached forward states, so the blocks follow the same arithmetic as
     the encoder's own step."""
-    _, _, states, tanhs, limit = enc._train_cache
+    cache = enc._train_cache
+    states, tanhs = cache.states, cache.tanhs
     g = grad_outputs
     blocks = [b.copy() for b in enc.blocks]
-    for i in reversed(range(limit)):
+    for i in reversed(range(cache.limit)):
         dt = g * (1.0 - tanhs[i] ** 2)
         blocks[i] -= learning_rate * (states[i].T @ dt)
         g = g + dt @ enc.blocks[i].T
@@ -268,6 +271,14 @@ def test_backward_requires_forward():
     enc = small_encoder()
     with pytest.raises(ValidationError):
         enc.backward_train(np.zeros((1, enc.embedding_dim)), 0.1)
+
+
+def test_loading_weights_drops_the_pending_step():
+    enc = small_encoder()
+    out = enc.forward_train(TEXTS)
+    enc.load_state_arrays(small_encoder(seed=4).state_arrays())
+    with pytest.raises(ValidationError, match="preceding forward_train"):
+        enc.backward_train(np.ones_like(out), 0.1)
 
 
 def test_backward_gradient_matches_finite_differences():

@@ -17,12 +17,14 @@ from probeforge.errors import (
 from probeforge.rewire import (
     MaskedPair,
     RewireConfig,
+    TraceRow,
     infonce_loss,
     infonce_loss_and_grads,
     rewire_train,
     sample_sentences,
     tail_mask,
 )
+from probeforge.text import truncate_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,15 @@ def test_zero_norm_row_is_numerical_error():
     a = np.ones((2, 2))
     with pytest.raises(NumericalError):
         infonce_loss(q, a, 0.1)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("side", ["query_vectors", "answer_vectors"])
+def test_bad_row_norm_error_names_its_matrix(side, bad):
+    vectors = {"query_vectors": np.ones((3, 2)), "answer_vectors": np.ones((3, 2))}
+    vectors[side][1] = [bad, 0.0]
+    with pytest.raises(NumericalError, match=side):
+        infonce_loss_and_grads(**vectors, temperature=0.1)
 
 
 def test_loss_shape_validation():
@@ -355,6 +366,52 @@ def test_pairs_are_truncated_once_per_run(monkeypatch):
     monkeypatch.undo()
     plain = rewire_train(toy_encoder(), pairs, quick_config(steps=12, max_query_tokens=3))
     assert counted.trace == plain.trace
+
+
+@pytest.mark.parametrize("text,max_tokens,want", [
+    ("Hepatitis B is treated by [MASK] .", 7, None),
+    ("Hepatitis B is treated by [MASK] .", 3, "Hepatitis B is"),
+    ("Hepatitis  B\tis treated", 4, "Hepatitis B is treated"),
+    (" Hepatitis B ", 5, "Hepatitis B"),
+])
+def test_truncate_tokens_returns_an_unchanged_text_itself(text, max_tokens, want):
+    got = truncate_tokens(text, max_tokens)
+    if want is None:
+        assert got is text
+    else:
+        assert got == want and got is not text
+
+
+def public_api_loop(encoder, pairs, config, start_step=0):
+    """The trace of rewire_train's steps, taken with public calls only."""
+    per_epoch = len(pairs) // config.batch_size
+    trace = []
+    for step in range(start_step + 1, config.steps + 1):
+        epoch, slot = divmod(step - 1, per_epoch)
+        perm = np.random.default_rng([config.seed, epoch]).permutation(len(pairs))
+        batch = perm[slot * config.batch_size:(slot + 1) * config.batch_size]
+        queries = [truncate_tokens(pairs[i].query, config.max_query_tokens) for i in batch]
+        answers = [truncate_tokens(pairs[i].answer, config.max_answer_tokens) for i in batch]
+        outputs = encoder.forward_train(queries + answers)
+        n = len(batch)
+        loss, dq, da = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
+        encoder.backward_train(np.vstack([dq, da]), config.learning_rate)
+        trace.append(TraceRow(step, loss, loss / n))
+    return trace
+
+
+@pytest.mark.parametrize("batch_size,start_step", [(1, 0), (3, 0), (3, 4)])
+def test_rewire_train_matches_public_api_loop(batch_size, start_step):
+    # 10 pairs in batches of 3 leave a short last batch, so epochs turn over
+    pairs = toy_pairs(10)
+    cfg = quick_config(steps=11, batch_size=batch_size, max_query_tokens=3)
+    want_encoder, got_encoder = toy_encoder(), toy_encoder()
+    want = public_api_loop(want_encoder, pairs, cfg, start_step)
+    got = rewire_train(got_encoder, pairs, cfg, start_step=start_step).trace
+    assert got == want
+    assert got_encoder.identity == want_encoder.identity
+    for name, array in want_encoder.state_arrays().items():
+        assert np.array_equal(got_encoder.state_arrays()[name], array), name
 
 
 def test_loss_strictly_decreases_on_fixed_batch():
