@@ -32,7 +32,7 @@ from .probers import (DEFAULT_NUM_MASKS, MASK_STRATEGIES, RankedPrediction,
                       load_entities, load_predictions, mask_average_rank,
                       mask_predict_detail, save_predictions)
 from .rewire import MaskedPair, RewireConfig, rewire_train, sample_sentences, tail_mask
-from .text import collapse_norm, write_csv
+from .text import collapse_norm, read_json, write_csv, write_json
 
 CACHE_ENV = "PROBEFORGE_CACHE"
 PROBE_STRATEGIES = ("contrastive", "mask-predict", "mask-average", "generate")
@@ -95,8 +95,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
         "started_at": started_at,
         "duration_seconds": round(time.perf_counter() - t0, 3),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "manifest.json", doc)
 
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -149,14 +148,11 @@ def _resolve_checkpoint(checkpoint) -> Path:
         manifest_path = root / "manifest.json"
         if not manifest_path.is_file():
             raise InputError(f"{root}: the rewire run did not complete (no manifest.json)")
-        try:
-            outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot read {manifest_path}: {exc}") from exc
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{manifest_path}: no outputs list") from exc
+        outputs = read_json(manifest_path, "run manifest").get("outputs")
+        if not isinstance(outputs, list):
+            raise ValidationError(f"{manifest_path}: no outputs list")
         step_dir = Path("checkpoints", f"step_{step:05d}")
-        if not isinstance(outputs, list) or str(step_dir) not in outputs:
+        if str(step_dir) not in outputs:
             raise InputError(f"no checkpoint at step {step} in the run recorded by "
                              f"{manifest_path}")
         return root / step_dir
@@ -376,8 +372,7 @@ def _write_rescore_json(result: RescoreResult, path) -> None:
         "annotated_candidate_acc": keyed(result.annotated_candidate_acc),
         "notes": list(result.notes),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(path, doc)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

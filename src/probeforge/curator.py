@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
     EmptyDatasetError,
-    InputError,
     ValidationError,
 )
-from .text import collapse_norm, contains_contiguous, metric_tokens, read_jsonl
+from .text import (collapse_norm, contains_contiguous, metric_tokens, read_json,
+                   read_lines, read_records, write_jsonl)
 
 MASK_PLACEHOLDER = "[MASK]"
 MAX_GOLD_ANSWERS = 10
@@ -89,17 +87,6 @@ class TripleLoadResult:
     malformed: int = 0
 
 
-def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                yield from fh
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read triples from {source}: {exc}") from exc
-    else:
-        yield from source
-
-
 def load_triples(source) -> TripleLoadResult:
     """Parse head<TAB>relation<TAB>tail lines; up to two trailing ID columns
     (head_id, tail_id) are accepted and ignored.
@@ -110,7 +97,7 @@ def load_triples(source) -> TripleLoadResult:
     """
     triples: list[KnowledgeTriple] = []
     malformed = total = 0
-    for raw in _iter_lines(source):
+    for raw in read_lines(source, "triples"):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -132,25 +119,20 @@ def load_triples(source) -> TripleLoadResult:
 
 
 def load_templates(path) -> dict[str, PromptTemplate]:
-    """Load a template registry from a JSON array of template records."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read templates from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: template registry must be a JSON array")
+    """Load a template registry from a JSON array of template objects, each
+    with string fields relation_id, pattern and optionally display_name."""
     registry: dict[str, PromptTemplate] = {}
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(read_json(path, "templates", list)):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{path}: entry {i}: expected a JSON object")
         try:
-            tpl = PromptTemplate(
-                relation_id=entry["relation_id"],
-                pattern=entry["pattern"],
-                display_name=entry.get("display_name", ""),
-            )
-        except (KeyError, TypeError) as exc:
+            fields = (entry["relation_id"], entry["pattern"], entry.get("display_name", ""))
+        except KeyError as exc:
             raise ValidationError(f"{path}: entry {i}: missing field {exc}") from exc
+        if not all(isinstance(field, str) for field in fields):
+            raise ValidationError(f"{path}: entry {i}: relation_id, pattern and "
+                                  "display_name must be strings")
+        tpl = PromptTemplate(*fields)
         if tpl.relation_id in registry:
             raise ValidationError(f"{path}: duplicate relation_id {tpl.relation_id!r}")
         registry[tpl.relation_id] = tpl
@@ -318,17 +300,9 @@ def split_hard(queries: Iterable[ProbeQuery],
 
 
 def save_dataset(queries: Iterable[ProbeQuery], path) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(json.dumps({
-                "query_id": q.query_id,
-                "relation_id": q.relation_id,
-                "head_name": q.head_name,
-                "query_text": q.query_text,
-                "answers": q.answers,
-                "hard": q.hard,
-            }, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"query_id": q.query_id, "relation_id": q.relation_id,
+                        "head_name": q.head_name, "query_text": q.query_text,
+                        "answers": q.answers, "hard": q.hard} for q in queries))
 
 
 def load_dataset(path, mask_placeholder: str = MASK_PLACEHOLDER) -> list[ProbeQuery]:
@@ -336,29 +310,13 @@ def load_dataset(path, mask_placeholder: str = MASK_PLACEHOLDER) -> list[ProbeQu
 
     An empty file is a valid empty dataset.
     """
-    queries = []
-    for lineno, rec in read_jsonl(path, "dataset"):
-        try:
-            query_id = rec["query_id"]
-            relation_id = rec["relation_id"]
-            head_name = rec["head_name"]
-            query_text = rec["query_text"]
-            answers = rec["answers"]
-            hard = rec["hard"]
-        except KeyError as exc:
-            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-        if (not isinstance(query_id, str) or not isinstance(relation_id, str)
-                or not isinstance(head_name, str) or not isinstance(query_text, str)
-                or not isinstance(hard, bool) or not isinstance(answers, list)
-                or not all(isinstance(a, str) for a in answers)):
-            raise ValidationError(f"{path}:{lineno}: field has wrong type")
+    def build(query_id, relation_id, head_name, query_text, answers, hard):
+        if not all(isinstance(a, str) for a in answers):
+            raise ValidationError("field has wrong type")
         if query_text.count(mask_placeholder) != 1:
-            raise ValidationError(
-                f"{path}:{lineno}: query_text must contain {mask_placeholder!r} exactly once"
-            )
-        try:
-            queries.append(ProbeQuery(query_id, relation_id, head_name,
-                                      query_text, answers, hard))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return queries
+            raise ValidationError(f"query_text must contain {mask_placeholder!r} exactly once")
+        return ProbeQuery(query_id, relation_id, head_name, query_text, answers, hard)
+
+    return read_records(path, "dataset", {
+        "query_id": str, "relation_id": str, "head_name": str, "query_text": str,
+        "answers": list, "hard": bool}, build)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import zlib
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -28,6 +27,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalError, ValidationError
+from .text import read_json, write_json
 
 SIDECAR_NAME = "sidecar.json"
 
@@ -409,31 +409,25 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir, step: int | None = None) -
         "config": encoder.sidecar_config(),
         "sha256": digests,
     }
-    (ckpt_dir / SIDECAR_NAME).write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(ckpt_dir / SIDECAR_NAME, sidecar)
     return ckpt_dir
 
 
 def load_checkpoint(ckpt_dir) -> EncoderHandle:
     """Rebuild an encoder from a checkpoint directory.
 
-    A sidecar that is unreadable or not JSON, or a weights file that cannot
-    be read or parsed, raises InputError. A sidecar missing a key or holding
-    a bad config raises ValidationError, as does a weights file whose sha256
-    differs from the one the sidecar records: a truncated or corrupt file,
-    or the array of a later save that was cut off before its sidecar.
+    A sidecar that is unreadable or not UTF-8, or a weights file that cannot
+    be read or parsed, raises InputError. A sidecar that is not a JSON object,
+    misses a key or holds a bad config raises ValidationError, as does a
+    weights file whose sha256 differs from the one the sidecar records: a
+    truncated or corrupt file, or the array of a later save that was cut off
+    before its sidecar.
     """
     ckpt_dir = Path(ckpt_dir)
     sidecar_path = ckpt_dir / SIDECAR_NAME
     if not sidecar_path.is_file():
         raise ConfigurationError(f"{ckpt_dir} is not a checkpoint directory (no {SIDECAR_NAME})")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read checkpoint sidecar {sidecar_path}: {exc}") from exc
-    if not isinstance(sidecar, dict):
-        raise ValidationError(f"{sidecar_path}: expected a JSON object")
+    sidecar = read_json(sidecar_path, "checkpoint sidecar")
     backend = sidecar.get("backend")
     if backend != ReferenceEncoder.backend:
         raise ConfigurationError(f"unknown encoder backend {backend!r} in {ckpt_dir}")
@@ -471,14 +465,10 @@ def load_checkpoint(ckpt_dir) -> EncoderHandle:
 @contextmanager
 def _table_fields(path, what: str) -> Iterator[dict]:
     """The JSON object of a table-model file, for a block that reads its fields.
-    A file that cannot be read as JSON raises InputError; a non-object, or a
-    field the block finds missing or mistyped, raises ValidationError."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+    A file that is unreadable or not UTF-8 raises InputError; text that is
+    not a JSON object, or a field the block finds missing or mistyped, raises
+    ValidationError."""
+    data = read_json(path, what)
     try:
         yield data
     except KeyError as exc:

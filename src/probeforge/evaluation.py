@@ -25,7 +25,7 @@ import numpy as np
 from .curator import ProbeQuery
 from .errors import InputError, ValidationError
 from .probers import RankedPrediction
-from .text import match_norm, write_csv
+from .text import match_norm, read_json, write_csv
 
 DEFAULT_K_VALUES = (1, 10)
 PERFECT_SCORE = 5
@@ -453,12 +453,7 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read report from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path, "report")
     try:
         per_relation = {
             rel: RelationScore(count=entry["count"],

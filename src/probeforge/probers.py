@@ -20,7 +20,6 @@ whatever the vocabulary size.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .errors import (
     InputError,
     ValidationError,
 )
-from .text import collapse_norm, read_jsonl
+from .text import collapse_norm, read_records, write_jsonl
 
 UNIT_NORM_TOL = 1e-6
 DEFAULT_NUM_MASKS = 5
@@ -398,36 +397,21 @@ def generate_probe(generator: GeneratorHandle, query: ProbeQuery, k: int) -> Ran
 # predictions file
 
 def save_predictions(predictions: Iterable[RankedPrediction], path) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for pred in predictions:
-            fh.write(json.dumps({
-                "query_id": pred.query_id,
-                "strategy": pred.strategy,
-                "candidates": [[c, s] for c, s in pred.candidates],
-            }, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"query_id": pred.query_id, "strategy": pred.strategy,
+                        "candidates": [[c, s] for c, s in pred.candidates]}
+                       for pred in predictions))
+
+
+def _prediction(query_id, strategy, candidates) -> RankedPrediction:
+    # each candidate is a [name, score] pair; a JSON true/false is no score
+    if not all(isinstance(c, list) and len(c) == 2 and isinstance(c[0], str)
+               and type(c[1]) in (float, int) for c in candidates):
+        raise ValidationError("field has wrong type")
+    return RankedPrediction(query_id, tuple((c, s) for c, s in candidates), strategy)
 
 
 def load_predictions(path) -> list[RankedPrediction]:
     """Read predictions back, validating each line. Empty file is valid."""
-    predictions = []
-    for lineno, rec in read_jsonl(path, "predictions"):
-        try:
-            query_id = rec["query_id"]
-            strategy = rec["strategy"]
-            candidates = rec["candidates"]
-        except KeyError as exc:
-            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-        if (not isinstance(query_id, str) or not isinstance(strategy, str)
-                or not isinstance(candidates, list)
-                or not all(isinstance(c, list) and len(c) == 2
-                           and isinstance(c[0], str)
-                           and isinstance(c[1], (int, float))
-                           for c in candidates)):
-            raise ValidationError(f"{path}:{lineno}: field has wrong type")
-        try:
-            predictions.append(RankedPrediction(
-                query_id, tuple((c, s) for c, s in candidates), strategy))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return predictions
+    return read_records(path, "predictions",
+                        {"query_id": str, "strategy": str, "candidates": list},
+                        _prediction)

@@ -9,11 +9,10 @@ from everything else in the batch. Probing afterwards is pure retrieval.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .text import truncate_tokens, write_csv
+from .text import read_json, read_lines, truncate_tokens, write_csv, write_json
 
 _SENTENCE_END = ".!?"
 
@@ -73,19 +72,11 @@ class RewireConfig:
             raise ConfigurationError("mask_placeholder must be non-empty")
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path, **overrides) -> "RewireConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read config from {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: expected a JSON object")
+        data = read_json(path, "config")
         defaults = {f.name: f.default for f in fields(cls)}
         unknown = set(data) - set(defaults)
         if unknown:
@@ -120,21 +111,11 @@ def sample_sentences(corpus, n: int, seed: int, min_words: int = 5,
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    if isinstance(corpus, (str, Path)):
-        try:
-            with open(corpus, encoding="utf-8") as fh:
-                return _reservoir(fh, n, seed, min_words, max_words)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read corpus from {corpus}: {exc}") from exc
-    return _reservoir(corpus, n, seed, min_words, max_words)
-
-
-def _reservoir(lines: Iterable[str], n, seed, min_words, max_words) -> list[str]:
     rng = np.random.default_rng(seed)
     reservoir: list[str] = []
     eligible = 0
     total = 0
-    for raw in lines:
+    for raw in read_lines(corpus, "corpus"):
         line = raw.strip()
         if not line:
             continue

@@ -247,6 +247,15 @@ def test_probe_rejects_step_dir_left_by_an_earlier_run(tmp_path, curated, rewire
     assert "no checkpoint at step 10" in err
 
 
+def test_probe_rejects_rewire_dir_whose_manifest_is_not_json(tmp_path, curated, rewired,
+                                                            capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(rewired, copy)
+    (copy / "manifest.json").write_text("{not json", encoding="utf-8")
+    err = _probe_rewire_dir_error(copy, curated, tmp_path / "probe", capsys)
+    assert "manifest.json: invalid JSON" in err
+
+
 def test_probe_rejects_rewire_dir_without_manifest(tmp_path, curated, rewired,
                                                    config_path, monkeypatch, capsys):
     copy = tmp_path / "copy"
@@ -339,6 +348,7 @@ def _mlm_rule_position(position) -> str:
 
 EVAL = ["eval", "--predictions", "{predictions}", "--dataset", "{dataset}"]
 BAD_CONFIG = ["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS, "--config", "{bad}"]
+BAD_TEMPLATES = ["curate", "--triples", TRIPLES, "--templates", "{bad}"]
 
 BAD_INPUTS = {
     # case -> (argv, content of the bad file; None: the file does not exist)
@@ -348,8 +358,14 @@ BAD_INPUTS = {
         ["eval", "--predictions", "{predictions}", "--dataset", "{bad}"], NOT_UTF8),
     "eval:annotations-not-utf8": ([*EVAL, "--annotations", "{bad}"], NOT_UTF8),
     "curate:triples-not-utf8": (["curate", "--triples", "{bad}"], NOT_UTF8),
-    "curate:templates-not-utf8": (
-        ["curate", "--triples", TRIPLES, "--templates", "{bad}"], NOT_UTF8),
+    "curate:templates-not-utf8": (BAD_TEMPLATES, NOT_UTF8),
+    "curate:templates-not-json": (BAD_TEMPLATES, "[{not json"),
+    "curate:templates-not-an-array": (BAD_TEMPLATES, "{}"),
+    "curate:template-not-an-object": (BAD_TEMPLATES, "[1]"),
+    "curate:template-pattern-not-a-string": (
+        BAD_TEMPLATES, json.dumps([{"relation_id": "r", "pattern": 5}])),
+    "curate:template-relation-id-not-a-string": (
+        BAD_TEMPLATES, json.dumps([{"relation_id": ["r"], "pattern": "[X] is [Y]"}])),
     "probe:entities-not-utf8": (
         ["probe", "--encoder", ENCODER_SPEC, "--dataset", "{dataset}",
          "--entities", "{bad}", "--strategy", "contrastive"], NOT_UTF8),
@@ -357,6 +373,7 @@ BAD_INPUTS = {
         ["rewire", "--encoder", ENCODER_SPEC, "--corpus", "{bad}", "--config", "{config}"],
         NOT_UTF8),
     "rewire-config:not-utf8": (BAD_CONFIG, NOT_UTF8),
+    "rewire-config:not-json": (BAD_CONFIG, "{not json"),
     "rewire-config:not-an-object": (BAD_CONFIG, "[]"),
     "rewire-config:wrong-type": (BAD_CONFIG, json.dumps({**SMALL_CONFIG, "steps": "5"})),
 }

@@ -153,6 +153,21 @@ def test_load_templates_duplicate_relation(tmp_path):
         load_templates(p)
 
 
+@pytest.mark.parametrize("entry, message", [
+    (1, "entry 0: expected a JSON object"),
+    ({"relation_id": "r", "pattern": 5}, "entry 0: relation_id, pattern and display_name"),
+    ({"relation_id": ["r"], "pattern": "[X] is [Y]"}, "entry 0: relation_id, pattern"),
+    ({"relation_id": "r", "pattern": "[X] is [Y]", "display_name": None},
+     "entry 0: relation_id, pattern"),
+    ({"pattern": "[X] is [Y]"}, "entry 0: missing field 'relation_id'"),
+])
+def test_load_templates_rejects_malformed_entry(tmp_path, entry, message):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps([entry]))
+    with pytest.raises(ValidationError, match=message):
+        load_templates(p)
+
+
 # ---------------------------------------------------------------------------
 # group_queries
 

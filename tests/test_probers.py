@@ -639,6 +639,16 @@ def test_predictions_load_reports_line_numbers(tmp_path):
         load_predictions(path)
 
 
+def test_predictions_load_rejects_boolean_scores(tmp_path):
+    # JSON true is a Python bool, which isinstance counts as an int
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"query_id": "q", "strategy": "contrastive",
+                                "candidates": [["x", True], ["y", False]]}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match=":1: field has wrong type"):
+        load_predictions(path)
+
+
 def test_empty_predictions_file_is_valid(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text("", encoding="utf-8")
