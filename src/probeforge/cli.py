@@ -49,53 +49,63 @@ REWIRE_OVERRIDE_FIELDS = (
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+class _Run:
+    """One command's output directory, the artifacts it writes there and the
+    manifest that vouches for them.
 
+    --out wins; otherwise the directory is derived under $PROBEFORGE_CACHE
+    from the flags. Nothing is created before the first path() call."""
 
-def _flag_dict(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if not k.startswith("_") and k not in ("func", "out", "workers")}
+    def __init__(self, args: argparse.Namespace):
+        self.t0 = time.perf_counter()
+        self.started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        self.command = args._command
+        self.outputs: list[str] = []
+        self._staged: list[str] = []
+        if args.out:
+            self.out = Path(args.out)
+            return
+        cache = os.environ.get(CACHE_ENV)
+        if not cache:
+            args._parser.error(f"--out is required when {CACHE_ENV} is not set")
+        flags = {k: v for k, v in vars(args).items()
+                 if not k.startswith("_") and k not in ("func", "out", "workers")}
+        payload = json.dumps({"command": self.command, **flags}, sort_keys=True, default=str)
+        digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+        self.out = Path(cache) / f"{self.command}-{digest}"
 
+    def path(self, name: str) -> Path:
+        """Where to write the output name: a .partial file, moved into place
+        when the writing block ends."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        self._staged.append(name)
+        return self.out / f"{name}.partial"
 
-def _resolve_out(args: argparse.Namespace) -> Path:
-    """--out wins; otherwise derive a directory under $PROBEFORGE_CACHE."""
-    if args.out:
-        return Path(args.out)
-    cache = os.environ.get(CACHE_ENV)
-    if not cache:
-        args._parser.error(f"--out is required when {CACHE_ENV} is not set")
-    payload = json.dumps({"command": args._command, **_flag_dict(args)},
-                         sort_keys=True, default=str)
-    digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
-    return Path(cache) / f"{args._command}-{digest}"
-
-
-@contextmanager
-def _writing(out: Path) -> Iterator[None]:
-    """Map a failure to create out or to write an artifact under it to InputError."""
-    try:
-        yield
-    except OSError as exc:
-        raise InputError(f"cannot write outputs to {out}: {exc}") from exc
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
-                    outputs: Sequence[str], seed, started_at: str,
-                    t0: float) -> None:
-    # Written last so a manifest marks a completed run; apart from the two
-    # clock fields the document is a pure function of the flags.
-    doc = {
-        "command": command,
-        "config": config,
-        "inputs": {k: str(v) for k, v in inputs.items() if v is not None},
-        "outputs": sorted(outputs),
-        "seed": seed,
-        "version": __version__,
-        "started_at": started_at,
-        "duration_seconds": round(time.perf_counter() - t0, 3),
-    }
-    write_json(out_dir / "manifest.json", doc)
+    @contextmanager
+    def writing(self, config: dict, inputs: dict, seed) -> Iterator[None]:
+        """Drop the earlier run's manifest, run the block, move its outputs
+        into place and write the manifest last, so that a manifest marks a
+        completed run. A failure to write under out raises InputError."""
+        try:
+            (self.out / "manifest.json").unlink(missing_ok=True)
+            yield
+            for name in self._staged:
+                os.replace(self.out / f"{name}.partial", self.out / name)
+            # apart from the two clock fields the document is a pure
+            # function of the flags
+            write_json(self.out / "manifest.json", {
+                "command": self.command,
+                "config": config,
+                "inputs": {k: str(v) for k, v in inputs.items() if v is not None},
+                "outputs": sorted(self.outputs),
+                "seed": seed,
+                "version": __version__,
+                "started_at": self.started_at,
+                "duration_seconds": round(time.perf_counter() - self.t0, 3),
+            })
+        except OSError as exc:
+            raise InputError(f"cannot write outputs to {self.out}: {exc}") from exc
 
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -163,8 +173,7 @@ def _resolve_checkpoint(checkpoint) -> Path:
 # curate
 
 def cmd_curate(args: argparse.Namespace) -> int:
-    t0, started = time.perf_counter(), _utc_now()
-    out = _resolve_out(args)
+    run = _Run(args)
     result = load_triples(args.triples)
     templates = load_templates(args.templates) if args.templates else default_templates()
     queries = group_queries(result.triples, templates,
@@ -179,23 +188,18 @@ def cmd_curate(args: argparse.Namespace) -> int:
         row[0] += 1
         row[1] += int(q.hard)
 
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        save_dataset(flagged, out / "full.jsonl")
-        save_dataset([q for q in flagged if q.hard], out / "hard.jsonl")
-        write_csv(out / "stats.csv", ["relation_id", "full_count", "hard_count"],
+    with run.writing(config={"max_answers": args.max_answers,
+                             "per_relation": args.per_relation,
+                             "malformed_triple_lines": result.malformed},
+                     inputs={"triples": args.triples,
+                             "templates": args.templates or "builtin"},
+                     seed=args.seed):
+        save_dataset(flagged, run.path("full.jsonl"))
+        save_dataset([q for q in flagged if q.hard], run.path("hard.jsonl"))
+        write_csv(run.path("stats.csv"), ["relation_id", "full_count", "hard_count"],
                   ([rel, *row] for rel, row in counts.items()))
-        _write_manifest(
-            out, "curate",
-            config={"max_answers": args.max_answers,
-                    "per_relation": args.per_relation,
-                    "malformed_triple_lines": result.malformed},
-            inputs={"triples": args.triples,
-                    "templates": args.templates or "builtin"},
-            outputs=["full.jsonl", "hard.jsonl", "stats.csv"],
-            seed=args.seed, started_at=started, t0=t0)
     n_hard = sum(q.hard for q in flagged)
-    print(f"curate: {len(flagged)} queries ({n_hard} hard) -> {out}")
+    print(f"curate: {len(flagged)} queries ({n_hard} hard) -> {run.out}")
     return 0
 
 
@@ -203,32 +207,26 @@ def cmd_curate(args: argparse.Namespace) -> int:
 # rewire
 
 def cmd_rewire(args: argparse.Namespace) -> int:
-    t0, started = time.perf_counter(), _utc_now()
-    out = _resolve_out(args)
+    run = _Run(args)
     overrides = {name: getattr(args, name) for name in REWIRE_OVERRIDE_FIELDS}
     config = RewireConfig.from_json(args.config, **overrides)
     encoder = encoder_from_spec(args.encoder)
     pairs = _masked_pairs(args.corpus, config)
 
-    with _writing(out):
-        # the manifest marks a completed run, so a rerun into out drops the
-        # earlier run's before writing anything, and with it the earlier
-        # run's step directories, which this run's manifest would not list
-        (out / "manifest.json").unlink(missing_ok=True)
-        for step_dir in (out / "checkpoints").glob("step_*"):
+    with run.writing(config=asdict(config),
+                     inputs={"encoder": args.encoder, "corpus": args.corpus,
+                             "config": args.config},
+                     seed=config.seed):
+        # an earlier run's step directories would not be listed in this
+        # run's manifest
+        for step_dir in (run.out / "checkpoints").glob("step_*"):
             shutil.rmtree(step_dir)
-        result = rewire_train(encoder, pairs, config, out_dir=out)
-        outputs = ["rewire_config.json", "loss_trace.csv"]
-        outputs += [str(p.relative_to(out)) for p in result.checkpoint_dirs]
-        _write_manifest(
-            out, "rewire",
-            config=asdict(config),
-            inputs={"encoder": args.encoder, "corpus": args.corpus,
-                    "config": args.config},
-            outputs=outputs, seed=config.seed, started_at=started, t0=t0)
+        result = rewire_train(encoder, pairs, config, out_dir=run.out)
+        run.outputs += ["rewire_config.json", "loss_trace.csv"]
+        run.outputs += [str(p.relative_to(run.out)) for p in result.checkpoint_dirs]
     final = result.trace[-1].loss_mean if result.trace else float("nan")
     print(f"rewire: {config.steps} steps on {len(pairs)} pairs, "
-          f"final mean loss {final:.4f} -> {out}")
+          f"final mean loss {final:.4f} -> {run.out}")
     return 0
 
 
@@ -305,8 +303,7 @@ def _probe_generate(args, queries: Sequence[ProbeQuery]):
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    t0, started = time.perf_counter(), _utc_now()
-    out = _resolve_out(args)
+    run = _Run(args)
     if args.k < 1:
         raise ConfigurationError("--k must be >= 1")
     if args.checkpoint and args.strategy != "contrastive":
@@ -325,23 +322,19 @@ def cmd_probe(args: argparse.Namespace) -> int:
     }[args.strategy]
     predictions, identity = runner(args, queries)
 
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        save_predictions(predictions, out / "predictions.jsonl")
-        _write_manifest(
-            out, "probe",
-            config={"strategy": args.strategy, "k": args.k,
-                    "layer_limit": args.layer_limit,
-                    "candidate_scope": args.candidate_scope,
-                    "num_masks": args.num_masks,
-                    "fill_strategy": args.fill_strategy,
-                    "refine": args.refine,
-                    "max_refine_iters": args.max_refine_iters,
-                    "model": identity},
-            inputs={"encoder": args.encoder, "checkpoint": args.checkpoint,
-                    "dataset": args.dataset, "entities": args.entities},
-            outputs=["predictions.jsonl"], seed=None, started_at=started, t0=t0)
-    print(f"probe[{args.strategy}]: {len(predictions)} predictions -> {out}")
+    with run.writing(config={"strategy": args.strategy, "k": args.k,
+                             "layer_limit": args.layer_limit,
+                             "candidate_scope": args.candidate_scope,
+                             "num_masks": args.num_masks,
+                             "fill_strategy": args.fill_strategy,
+                             "refine": args.refine,
+                             "max_refine_iters": args.max_refine_iters,
+                             "model": identity},
+                     inputs={"encoder": args.encoder, "checkpoint": args.checkpoint,
+                             "dataset": args.dataset, "entities": args.entities},
+                     seed=None):
+        save_predictions(predictions, run.path("predictions.jsonl"))
+    print(f"probe[{args.strategy}]: {len(predictions)} predictions -> {run.out}")
     return 0
 
 
@@ -376,8 +369,7 @@ def _write_rescore_json(result: RescoreResult, path) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    t0, started = time.perf_counter(), _utc_now()
-    out = _resolve_out(args)
+    run = _Run(args)
     k_values = _parse_int_list(args.k, "--k")
     queries = load_dataset(args.dataset)
     predictions = load_predictions(args.predictions)
@@ -417,27 +409,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         answers_by_query = {q.query_id: q.answers for q in split_queries}
         rescored = expert_rescore(sample, annotations, answers_by_query, k_values)
 
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        save_report(report, out / "report.json")
-        write_report_csv(report, out / "report.csv")
-        outputs = ["report.json", "report.csv"]
+    with run.writing(config={"split": args.split, "k": list(k_values), "model": args.model,
+                             "strategy": strategy, "length_bins": args.length_bins,
+                             "annotated": bool(args.annotations)},
+                     inputs={"predictions": args.predictions, "dataset": args.dataset,
+                             "annotations": args.annotations},
+                     seed=None):
+        save_report(report, run.path("report.json"))
+        write_report_csv(report, run.path("report.csv"))
         if bins is not None:
-            _write_bins_csv(bins, k_values, out / "bins.csv")
-            outputs.append("bins.csv")
+            _write_bins_csv(bins, k_values, run.path("bins.csv"))
         if rescored is not None:
-            _write_rescore_json(rescored, out / "rescore.json")
-            outputs.append("rescore.json")
-        _write_manifest(
-            out, "eval",
-            config={"split": args.split, "k": list(k_values), "model": args.model,
-                    "strategy": strategy,
-                    "length_bins": args.length_bins, "annotated": bool(args.annotations)},
-            inputs={"predictions": args.predictions, "dataset": args.dataset,
-                    "annotations": args.annotations},
-            outputs=outputs, seed=None, started_at=started, t0=t0)
+            _write_rescore_json(rescored, run.path("rescore.json"))
     accs = " ".join(f"acc@{k}={report.macro[k]:.4f}" for k in k_values)
-    print(f"eval[{args.split}]: macro {accs} over {report.total_queries} queries -> {out}")
+    print(f"eval[{args.split}]: macro {accs} over {report.total_queries} queries -> {run.out}")
     return 0
 
 
@@ -509,30 +494,29 @@ def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, querie
     return reports
 
 
-def _write_sweep_csv(axis: str, values, reports: list[EvalReport], out: Path) -> str:
-    """Write the axis table of reports (in value order) and return its name."""
+def _write_sweep_csv(axis: str, values, reports: list[EvalReport],
+                     path: Callable[[str], Path]) -> None:
+    """Write the axis table of reports (in value order) to path(its name)."""
     if axis == "checkpoint-step":
-        write_step_curves_csv(step_curves(reports, k=1), out / "step_curves.csv")
-        return "step_curves.csv"
+        write_step_curves_csv(step_curves(reports, k=1), path("step_curves.csv"))
+        return
     if axis == "seed":
         summary = stability_summary(reports)
-        write_csv(out / "stability.csv",
+        write_csv(path("stability.csv"),
                   ["relation_id", "acc1_mean", "acc1_std", "acc10_mean", "acc10_std"],
                   ([rel, *(f"{v:.6f}" for k in (1, 10) for v in stats[k])]
                    for rel, stats in [*summary.per_relation.items(),
                                       ("macro", summary.macro)]))
-        return "stability.csv"
+        return
     name, column = (("layer_sweep.csv", "layer_limit") if axis == "layer"
                     else ("mask_ratio_sweep.csv", "mask_ratio"))
-    write_csv(out / name, [column, "macro_acc1", "macro_acc10"],
+    write_csv(path(name), [column, "macro_acc1", "macro_acc10"],
               ([f"{v:g}", f"{r.macro[1]:.6f}", f"{r.macro[10]:.6f}"]
                for v, r in zip(values, reports)))
-    return name
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    t0, started = time.perf_counter(), _utc_now()
-    out = _resolve_out(args)
+    run = _Run(args)
     values = _parse_axis_values(args.axis, args.values)
     config = RewireConfig.from_json(args.config)
     queries = load_dataset(args.dataset)
@@ -557,19 +541,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kept = [i for i in range(len(values)) if reports[i] is not None]
     skipped = [v for i, v in enumerate(values) if reports[i] is None]
 
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        merged = _write_sweep_csv(args.axis, [values[i] for i in kept],
-                                  [reports[i] for i in kept], out)
-        _write_manifest(
-            out, "sweep",
-            config={"axis": args.axis, "values": values, "skipped_values": skipped,
-                    "probe_step": probe_step, "rewire_config": asdict(config)},
-            inputs={"encoder": args.encoder, "corpus": args.corpus,
-                    "config": args.config, "dataset": args.dataset,
-                    "entities": args.entities},
-            outputs=[merged], seed=config.seed, started_at=started, t0=t0)
-    print(f"sweep[{args.axis}]: {len(kept)} runs -> {out / merged}")
+    with run.writing(config={"axis": args.axis, "values": values, "skipped_values": skipped,
+                             "probe_step": probe_step, "rewire_config": asdict(config)},
+                     inputs={"encoder": args.encoder, "corpus": args.corpus,
+                             "config": args.config, "dataset": args.dataset,
+                             "entities": args.entities},
+                     seed=config.seed):
+        _write_sweep_csv(args.axis, [values[i] for i in kept],
+                         [reports[i] for i in kept], run.path)
+    print(f"sweep[{args.axis}]: {len(kept)} runs -> {run.out / run.outputs[0]}")
     return 0
 
 

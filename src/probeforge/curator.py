@@ -132,7 +132,10 @@ def load_templates(path) -> dict[str, PromptTemplate]:
         if not all(isinstance(field, str) for field in fields):
             raise ValidationError(f"{path}: entry {i}: relation_id, pattern and "
                                   "display_name must be strings")
-        tpl = PromptTemplate(*fields)
+        try:
+            tpl = PromptTemplate(*fields)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: entry {i}: {exc}") from exc
         if tpl.relation_id in registry:
             raise ValidationError(f"{path}: duplicate relation_id {tpl.relation_id!r}")
         registry[tpl.relation_id] = tpl

@@ -466,14 +466,14 @@ def load_checkpoint(ckpt_dir) -> EncoderHandle:
 def _table_fields(path, what: str) -> Iterator[dict]:
     """The JSON object of a table-model file, for a block that reads its fields.
     A file that is unreadable or not UTF-8 raises InputError; text that is
-    not a JSON object, or a field the block finds missing or mistyped, raises
-    ValidationError."""
+    not a JSON object, a field the block finds missing or mistyped, or a value
+    the model rejects raises ValidationError naming the file."""
     data = read_json(path, what)
     try:
         yield data
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed {what}: {exc}") from exc
 
 
@@ -534,6 +534,9 @@ class TableMLM(MLMHeadHandle):
         unknown = set(probs) - set(self._index)
         if unknown:
             raise ValidationError(f"{where}: tokens not in vocab: {sorted(unknown)}")
+        # a JSON true/false or a string is no probability
+        if not all(type(p) in (float, int) for p in probs.values()):
+            raise ValidationError(f"{where}: probabilities must be numbers")
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-4:
             raise ValidationError(f"{where}: probabilities sum to {total}, expected 1")
@@ -605,6 +608,10 @@ class TableGenerator(GeneratorHandle):
     """Lookup generator: per-query candidate lists with a shared fallback."""
 
     def __init__(self, default, by_query=None, identity="table-generator"):
+        # a JSON true/false or a string is no score
+        if not all(type(v) in (float, int)
+                   for items in [default, *(by_query or {}).values()] for _, v in items):
+            raise ValidationError("generator scores must be numbers")
         self.default = [(str(s), float(v)) for s, v in default]
         self.by_query = {q: [(str(s), float(v)) for s, v in items]
                          for q, items in (by_query or {}).items()}

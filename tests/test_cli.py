@@ -366,6 +366,8 @@ BAD_INPUTS = {
         BAD_TEMPLATES, json.dumps([{"relation_id": "r", "pattern": 5}])),
     "curate:template-relation-id-not-a-string": (
         BAD_TEMPLATES, json.dumps([{"relation_id": ["r"], "pattern": "[X] is [Y]"}])),
+    "curate:template-without-slots": (
+        BAD_TEMPLATES, json.dumps([{"relation_id": "r", "pattern": "no slots"}])),
     "probe:entities-not-utf8": (
         ["probe", "--encoder", ENCODER_SPEC, "--dataset", "{dataset}",
          "--entities", "{bad}", "--strategy", "contrastive"], NOT_UTF8),
@@ -380,12 +382,16 @@ BAD_INPUTS = {
 for name, content in [("missing-file", None), ("not-json", "{not json"),
                       ("no-default", _table_without("stub_mlm.json", "default")),
                       ("no-vocab", _table_without("stub_mlm.json", "vocab")),
-                      ("bad-rule-position", _mlm_rule_position("first"))]:
+                      ("bad-rule-position", _mlm_rule_position("first")),
+                      ("bool-prob", json.dumps({"vocab": ["a", "b"],
+                                                "default": {"a": True}}))]:
     BAD_INPUTS[f"table-mlm:{name}"] = (
         ["probe", "--dataset", "{dataset}", "--strategy", "mask-predict",
          "--encoder", "table-mlm:{bad}"], content)
 for name, content in [("missing-file", None), ("not-json", "[1, 2"),
-                      ("no-default", _table_without("stub_generator.json", "default"))]:
+                      ("no-default", _table_without("stub_generator.json", "default")),
+                      ("bool-score", json.dumps({"default": [["x", True], ["y", False]]})),
+                      ("string-score", json.dumps({"default": [["x", "0.5"]]}))]:
     BAD_INPUTS[f"table-generator:{name}"] = (
         ["probe", "--dataset", "{dataset}", "--strategy", "generate",
          "--encoder", "table-generator:{bad}"], content)
@@ -436,6 +442,50 @@ def test_unwritable_out_exits_one(tmp_path, curated, probed, config_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"probeforge: error: cannot write outputs to {blocker / 'out'}")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", list(UNWRITABLE_OUT))
+def test_manifest_lists_exactly_what_the_run_left(tmp_path, curated, probed, config_path,
+                                                  command):
+    paths = {"dataset": curated / "full.jsonl",
+             "predictions": probed / "predictions.jsonl", "config": config_path}
+    argv = [arg.format(**paths) for arg in UNWRITABLE_OUT[command]]
+    if command == "eval":
+        first = load_predictions(probed / "predictions.jsonl")[0]
+        annotations = tmp_path / "annotations.csv"
+        save_annotations([ExpertAnnotation(first.query_id, first.candidates[0][0], 5)],
+                         annotations)
+        argv += ["--k", "1", "--length-bins", "10,20", "--annotations", str(annotations)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    listed = [Path(name) for name in read_manifest(out)["outputs"]]
+    assert listed and all((out / name).exists() for name in listed)
+    for path in out.rglob("*"):
+        rel = path.relative_to(out)
+        if path.is_file() and rel != Path("manifest.json"):
+            assert any(name == rel or name in rel.parents for name in listed), rel
+    assert not list(out.rglob("*.partial"))
+
+
+def test_failed_write_keeps_the_earlier_artifact(tmp_path, curated, probed, capsys,
+                                                 monkeypatch):
+    out = tmp_path / "probed"
+    shutil.copytree(probed, out)
+    earlier = (out / "predictions.jsonl").read_bytes()
+
+    def failing_save(predictions, path):
+        Path(path).write_text('{"query_id": "q')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_predictions", failing_save)
+    code = main(["probe", "--encoder", ENCODER_SPEC, "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--strategy", "contrastive", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"probeforge: error: cannot write outputs to {out}: ")
+    assert (out / "predictions.jsonl").read_bytes() == earlier
+    assert not (out / "manifest.json").exists()
 
 
 def test_probe_needs_encoder_or_checkpoint(curated, capsys):
