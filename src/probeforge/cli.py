@@ -31,7 +31,8 @@ from .probers import (DEFAULT_NUM_MASKS, MASK_STRATEGIES, RankedPrediction,
                       build_entity_index, contrastive_probe, generate_probe,
                       load_entities, load_predictions, mask_average_rank,
                       mask_predict_detail, save_predictions)
-from .rewire import MaskedPair, RewireConfig, rewire_train, sample_sentences, tail_mask
+from .rewire import (MaskedPair, RewireConfig, rewire_train, sample_sentences, tail_mask,
+                     write_loss_trace)
 from .text import collapse_norm, read_json, write_csv, write_json
 
 CACHE_ENV = "PROBEFORGE_CACHE"
@@ -218,13 +219,14 @@ def cmd_rewire(args: argparse.Namespace) -> int:
                              "config": args.config},
                      seed=config.seed):
         # an earlier run's step directories would not be listed in this
-        # run's manifest
+        # run's manifest; the glob also takes a failed run's .partial ones,
+        # and os.replace cannot move a staged directory onto a non-empty one
         for step_dir in (run.out / "checkpoints").glob("step_*"):
             shutil.rmtree(step_dir)
-        result = rewire_train(encoder, pairs, config, out_dir=run.out)
-        run.outputs += ["rewire_config.json", "loss_trace.csv"]
-        run.outputs += [str(p.relative_to(run.out)) for p in result.checkpoint_dirs]
-    final = result.trace[-1].loss_mean if result.trace else float("nan")
+        trace = rewire_train(encoder, pairs, config, checkpoint_path=run.path)
+        config.to_json(run.path("rewire_config.json"))
+        write_loss_trace(trace, run.path("loss_trace.csv"))
+    final = trace[-1].loss_mean if trace else float("nan")
     print(f"rewire: {config.steps} steps on {len(pairs)} pairs, "
           f"final mean loss {final:.4f} -> {run.out}")
     return 0

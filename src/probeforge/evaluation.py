@@ -128,13 +128,8 @@ class EvalReport:
 
 def aggregate(query_hits: Sequence[QueryHits], k_values=DEFAULT_K_VALUES, *,
               model: str = "", strategy: str = "", split: str = "full",
-              metadata: Mapping | None = None,
-              expected_relations: Iterable[str] | None = None) -> EvalReport:
-    """Roll per-query hits up to per-relation, macro, and micro accuracy.
-
-    Relations listed in expected_relations but absent from the hits are
-    excluded from the macro mean and flagged in metadata["empty_relations"].
-    """
+              metadata: Mapping | None = None) -> EvalReport:
+    """Roll per-query hits up to per-relation, macro, and micro accuracy."""
     ks = _check_k_values(k_values)
     if not query_hits:
         raise InputError("no query hits to aggregate")
@@ -153,12 +148,9 @@ def aggregate(query_hits: Sequence[QueryHits], k_values=DEFAULT_K_VALUES, *,
              for k in ks}
     total = len(query_hits)
     micro = {k: sum(qh.hits[k] for qh in query_hits) / total for k in ks}
-    meta = dict(metadata or {})
-    if expected_relations is not None:
-        meta["empty_relations"] = sorted(set(expected_relations) - set(grouped))
     return EvalReport(model=model, strategy=strategy, split=split, k_values=ks,
                       per_relation=per_relation, macro=macro, micro=micro,
-                      metadata=meta)
+                      metadata=dict(metadata or {}))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -229,27 +228,16 @@ def infonce_loss(query_vectors, answer_vectors, temperature: float) -> float:
 
 
 def infonce_loss_and_grads(query_vectors, answer_vectors, temperature: float):
-    """Loss plus analytic gradients w.r.t. the raw query and answer matrices.
-
-    The two gradients are the halves of one (2N, d) array, their common
-    base, which rewire_train hands to backward_train without restacking.
-    """
-    loss, grads = _infonce(query_vectors, answer_vectors, temperature, with_grads=True)
-    n = len(grads) // 2
-    return loss, grads[:n], grads[n:]
+    """Loss plus the analytic gradient w.r.t. the raw query and answer rows,
+    stacked as one (2N, d) array: queries over answers, the row order that
+    backward_train takes."""
+    return _infonce(query_vectors, answer_vectors, temperature, with_grads=True)
 
 
 class TraceRow(NamedTuple):
     step: int
     loss_sum: float
     loss_mean: float
-
-
-@dataclass
-class TrainResult:
-    encoder: EncoderHandle
-    trace: list[TraceRow]
-    checkpoint_dirs: list[Path]
 
 
 def _batch_fingerprint(texts: list[str]) -> str:
@@ -262,9 +250,14 @@ def write_loss_trace(trace: list[TraceRow], path) -> None:
 
 
 def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
-                 config: RewireConfig, out_dir=None,
-                 start_step: int = 0) -> TrainResult:
-    """Run plain SGD on the in-batch contrastive objective.
+                 config: RewireConfig, checkpoint_path=None,
+                 start_step: int = 0) -> list[TraceRow]:
+    """Run plain SGD on the in-batch contrastive objective and return the
+    trace, one row per step taken.
+
+    Every checkpoint_every steps the encoder is saved to
+    checkpoint_path(f"checkpoints/step_{step:05d}"); checkpoint_path maps
+    an artifact name to the path to write it at, and None saves nothing.
 
     The epoch shuffle for epoch e is drawn from a stream seeded by
     (config.seed, e), so the batch at any global step is a pure function of
@@ -279,19 +272,12 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
     if not 0 <= start_step <= config.steps:
         raise ConfigurationError("start_step must lie in [0, steps]")
     batches_per_epoch = len(pairs) // config.batch_size
-    ckpt_root = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        config.to_json(out_dir / "rewire_config.json")
-        ckpt_root = out_dir / "checkpoints"
 
     # truncate_tokens is pure, so truncating each pair once gives the same
     # batches as truncating them step by step
     all_queries = [truncate_tokens(p.query, config.max_query_tokens) for p in pairs]
     all_answers = [truncate_tokens(p.answer, config.max_answer_tokens) for p in pairs]
     trace: list[TraceRow] = []
-    checkpoint_dirs: list[Path] = []
     current_epoch = -1
     perm = None
     for step in range(start_step + 1, config.steps + 1):
@@ -304,18 +290,14 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         queries = [all_queries[i] for i in batch]
         outputs = encoder.forward_train(queries + [all_answers[i] for i in batch])
         n = len(batch)
-        loss, dq, _ = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
+        loss, grads = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
         if not math.isfinite(loss):
             raise NumericalError(
                 f"non-finite loss at step {step} (batch {_batch_fingerprint(queries)})"
             )
-        # dq and the answers' gradient are the halves of one stacked array
-        encoder.backward_train(dq.base, config.learning_rate)
+        encoder.backward_train(grads, config.learning_rate)
         trace.append(TraceRow(step, loss, loss / n))
-        if ckpt_root is not None and config.checkpoint_every > 0 \
+        if checkpoint_path is not None and config.checkpoint_every > 0 \
                 and step % config.checkpoint_every == 0:
-            ckpt = save_checkpoint(encoder, ckpt_root / f"step_{step:05d}", step=step)
-            checkpoint_dirs.append(ckpt)
-    if out_dir is not None:
-        write_loss_trace(trace, out_dir / "loss_trace.csv")
-    return TrainResult(encoder=encoder, trace=trace, checkpoint_dirs=checkpoint_dirs)
+            save_checkpoint(encoder, checkpoint_path(f"checkpoints/step_{step:05d}"), step=step)
+    return trace

@@ -209,7 +209,8 @@ def test_criterion_05_rewiring_lifts_retrieval(tmp_path):
     pairs = [p for p in (tail_mask(s, config.mask_ratio) for s in sentences)
              if p is not None]
     assert len(pairs) == 200
-    result = rewire_train(encoder, pairs, config, out_dir=tmp_path / "run")
+    trace = rewire_train(encoder, pairs, config,
+                         checkpoint_path=(tmp_path / "run").joinpath)
 
     probe_dir = tmp_path / "run" / "checkpoints" / f"step_{config.probe_checkpoint_step:05d}"
     trained = load_checkpoint(probe_dir)
@@ -218,7 +219,7 @@ def test_criterion_05_rewiring_lifts_retrieval(tmp_path):
     post_acc = micro_acc_at_10(post, queries)
     assert post_acc - base_acc >= 0.10, (base_acc, post_acc)
 
-    losses = [row.loss_mean for row in result.trace]
+    losses = [row.loss_mean for row in trace]
     assert len(losses) == 500
     assert sum(losses[-50:]) / 50 < sum(losses[:50]) / 50
     assert time.perf_counter() - start < 60.0

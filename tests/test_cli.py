@@ -11,8 +11,8 @@ import probeforge
 from probeforge import cli
 from probeforge.cli import main
 from probeforge.curator import load_dataset
-from probeforge.encoders import encoder_from_spec
-from probeforge.errors import InputError
+from probeforge.encoders import ReferenceEncoder, encoder_from_spec
+from probeforge.errors import InputError, NumericalError
 from probeforge.evaluation import (ExpertAnnotation, aggregate, load_report,
                                    save_annotations, score_predictions,
                                    stability_summary, step_curves,
@@ -245,6 +245,34 @@ def test_probe_rejects_step_dir_left_by_an_earlier_run(tmp_path, curated, rewire
         "checkpoints/step_00020", "loss_trace.csv", "rewire_config.json"]
     err = _probe_rewire_dir_error(rerun, curated, tmp_path / "probe", capsys)
     assert "no checkpoint at step 10" in err
+
+
+def test_failed_rewire_rerun_keeps_the_earlier_artifacts(tmp_path, rewired, config_path,
+                                                        capsys, monkeypatch):
+    out = tmp_path / "rerun"
+    shutil.copytree(rewired, out)
+    earlier = {name: (out / name).read_bytes()
+               for name in ("rewire_config.json", "loss_trace.csv")}
+    backward_train = ReferenceEncoder.backward_train
+    calls = []
+
+    # the rerun fails one step after writing its first checkpoint
+    def failing_backward(self, grads, learning_rate):
+        calls.append(learning_rate)
+        if len(calls) > SMALL_CONFIG["checkpoint_every"]:
+            raise NumericalError("diverged")
+        return backward_train(self, grads, learning_rate)
+
+    monkeypatch.setattr(ReferenceEncoder, "backward_train", failing_backward)
+    code = main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+                 "--config", config_path, "--seed", "8", "--out", str(out)])
+    assert code == 1
+    assert "diverged" in capsys.readouterr().err
+    for name, data in earlier.items():
+        assert (out / name).read_bytes() == data, name
+    assert [p.name for p in (out / "checkpoints").glob("step_*")
+            if p.suffix != ".partial"] == []
+    assert not (out / "manifest.json").exists()
 
 
 def test_probe_rejects_rewire_dir_whose_manifest_is_not_json(tmp_path, curated, rewired,

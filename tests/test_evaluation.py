@@ -112,14 +112,6 @@ def test_balanced_relations_make_macro_equal_micro(n, data):
     assert report.macro[1] == pytest.approx(report.micro[1], abs=1e-12)
 
 
-def test_expected_relations_flag_empty_ones():
-    hits = [QueryHits("q0", "rel_a", {1: 1})]
-    report = aggregate(hits, k_values=(1,),
-                       expected_relations=["rel_a", "rel_b", "rel_c"])
-    assert report.metadata["empty_relations"] == ["rel_b", "rel_c"]
-    assert report.macro[1] == 1.0
-
-
 def test_aggregate_requires_hits():
     with pytest.raises(InputError):
         aggregate([], k_values=(1,))

@@ -23,6 +23,7 @@ from probeforge.rewire import (
     rewire_train,
     sample_sentences,
     tail_mask,
+    write_loss_trace,
 )
 from probeforge.text import truncate_tokens
 
@@ -127,9 +128,9 @@ def test_gradients_match_finite_differences():
     q = rng.standard_normal((4, 5))
     a = rng.standard_normal((4, 5))
     tau = 0.2
-    _, dq, da = infonce_loss_and_grads(q, a, tau)
+    _, grads = infonce_loss_and_grads(q, a, tau)
     eps = 1e-6
-    for matrix, grad in ((q, dq), (a, da)):
+    for matrix, grad in ((q, grads[:4]), (a, grads[4:])):
         for i, j in [(0, 0), (1, 3), (3, 4), (2, 2)]:
             matrix[i, j] += eps
             up = infonce_loss(q, a, tau)
@@ -331,18 +332,20 @@ def toy_encoder():
 def test_zero_steps_changes_nothing():
     enc = toy_encoder()
     before = enc.encode(["probe text"]).copy()
-    result = rewire_train(enc, toy_pairs(), quick_config(steps=0))
-    assert result.trace == []
+    assert rewire_train(enc, toy_pairs(), quick_config(steps=0)) == []
     np.testing.assert_array_equal(enc.encode(["probe text"]), before)
     assert enc.step == 0
 
 
 def test_training_is_deterministic(tmp_path):
-    r1 = rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=10, checkpoint_every=5),
-                      out_dir=tmp_path / "a")
-    r2 = rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=10, checkpoint_every=5),
-                      out_dir=tmp_path / "b")
-    assert r1.trace == r2.trace
+    traces = []
+    for run in ("a", "b"):
+        trace = rewire_train(toy_encoder(), toy_pairs(),
+                             quick_config(steps=10, checkpoint_every=5),
+                             checkpoint_path=(tmp_path / run).joinpath)
+        write_loss_trace(trace, tmp_path / run / "loss_trace.csv")
+        traces.append(trace)
+    assert traces[0] == traces[1]
     trace_a = (tmp_path / "a" / "loss_trace.csv").read_bytes()
     trace_b = (tmp_path / "b" / "loss_trace.csv").read_bytes()
     assert trace_a == trace_b
@@ -365,7 +368,7 @@ def test_pairs_are_truncated_once_per_run(monkeypatch):
     assert len(calls) == 2 * len(pairs)
     monkeypatch.undo()
     plain = rewire_train(toy_encoder(), pairs, quick_config(steps=12, max_query_tokens=3))
-    assert counted.trace == plain.trace
+    assert counted == plain
 
 
 @pytest.mark.parametrize("text,max_tokens,want", [
@@ -394,8 +397,8 @@ def public_api_loop(encoder, pairs, config, start_step=0):
         answers = [truncate_tokens(pairs[i].answer, config.max_answer_tokens) for i in batch]
         outputs = encoder.forward_train(queries + answers)
         n = len(batch)
-        loss, dq, da = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
-        encoder.backward_train(np.vstack([dq, da]), config.learning_rate)
+        loss, grads = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
+        encoder.backward_train(grads, config.learning_rate)
         trace.append(TraceRow(step, loss, loss / n))
     return trace
 
@@ -407,7 +410,7 @@ def test_rewire_train_matches_public_api_loop(batch_size, start_step):
     cfg = quick_config(steps=11, batch_size=batch_size, max_query_tokens=3)
     want_encoder, got_encoder = toy_encoder(), toy_encoder()
     want = public_api_loop(want_encoder, pairs, cfg, start_step)
-    got = rewire_train(got_encoder, pairs, cfg, start_step=start_step).trace
+    got = rewire_train(got_encoder, pairs, cfg, start_step=start_step)
     assert got == want
     assert got_encoder.identity == want_encoder.identity
     for name, array in want_encoder.state_arrays().items():
@@ -419,8 +422,7 @@ def test_loss_strictly_decreases_on_fixed_batch():
     # smoke check runs at temperature 1.0 where lr 1e-2 descends cleanly
     pairs = toy_pairs(8)
     cfg = quick_config(steps=10, batch_size=8, learning_rate=0.01, temperature=1.0)
-    result = rewire_train(toy_encoder(), pairs, cfg)
-    losses = [row.loss_sum for row in result.trace]
+    losses = [row.loss_sum for row in rewire_train(toy_encoder(), pairs, cfg)]
     assert len(losses) == 10
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -429,23 +431,21 @@ def test_longer_run_improves_mean_loss():
     pairs = toy_pairs(200)
     cfg = quick_config(num_sentences=200, steps=50, batch_size=8,
                        learning_rate=0.01, temperature=1.0)
-    result = rewire_train(toy_encoder(), pairs, cfg)
-    losses = [row.loss_sum for row in result.trace]
+    losses = [row.loss_sum for row in rewire_train(toy_encoder(), pairs, cfg)]
     assert len(losses) == 50
     assert sum(losses[-10:]) / 10 < sum(losses[:10]) / 10
 
 
 def test_trace_mean_is_sum_over_batch():
-    result = rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=3))
-    for row in result.trace:
+    for row in rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=3)):
         assert row.loss_mean == pytest.approx(row.loss_sum / 8)
 
 
 def test_short_final_batch_dropped():
     # 20 pairs, batch 8 -> 2 batches per epoch, remainder 4 never trained on
     pairs = toy_pairs(20)
-    result = rewire_train(toy_encoder(), pairs, quick_config(steps=4))
-    assert [row.step for row in result.trace] == [1, 2, 3, 4]
+    trace = rewire_train(toy_encoder(), pairs, quick_config(steps=4))
+    assert [row.step for row in trace] == [1, 2, 3, 4]
 
 
 def test_too_few_pairs_is_input_error():
@@ -455,20 +455,20 @@ def test_too_few_pairs_is_input_error():
 
 def test_resume_from_checkpoint_matches_uninterrupted(tmp_path):
     cfg = quick_config(steps=9, checkpoint_every=3)
-    full = rewire_train(toy_encoder(), toy_pairs(), cfg, out_dir=tmp_path / "full")
-    part = rewire_train(toy_encoder(), toy_pairs(),
-                        quick_config(steps=3, checkpoint_every=3),
-                        out_dir=tmp_path / "part")
-    resumed_encoder = load_checkpoint(part.checkpoint_dirs[-1])
+    full = rewire_train(toy_encoder(), toy_pairs(), cfg)
+    rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=3, checkpoint_every=3),
+                 checkpoint_path=tmp_path.joinpath)
+    resumed_encoder = load_checkpoint(tmp_path / "checkpoints" / "step_00003")
     resumed = rewire_train(resumed_encoder, toy_pairs(), cfg, start_step=3)
-    assert [r.step for r in resumed.trace] == [4, 5, 6, 7, 8, 9]
-    for row_full, row_res in zip(full.trace[3:], resumed.trace):
+    assert [r.step for r in resumed] == [4, 5, 6, 7, 8, 9]
+    for row_full, row_res in zip(full[3:], resumed):
         assert row_full == row_res
 
 
 def test_checkpoint_cadence(tmp_path):
     cfg = quick_config(steps=12, checkpoint_every=4)
-    result = rewire_train(toy_encoder(), toy_pairs(), cfg, out_dir=tmp_path)
-    assert [p.name for p in result.checkpoint_dirs] == ["step_00004", "step_00008", "step_00012"]
+    rewire_train(toy_encoder(), toy_pairs(), cfg, checkpoint_path=tmp_path.joinpath)
+    assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == [
+        "step_00004", "step_00008", "step_00012"]
     reloaded = load_checkpoint(tmp_path / "checkpoints" / "step_00008")
     assert reloaded.step == 8
