@@ -10,7 +10,7 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, astuple, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -39,13 +39,6 @@ CACHE_ENV = "PROBEFORGE_CACHE"
 PROBE_STRATEGIES = ("contrastive", "mask-predict", "mask-average", "generate")
 SWEEP_AXES = ("layer", "mask-ratio", "checkpoint-step", "seed")
 
-# RewireConfig fields that may be overridden from the rewire command line.
-REWIRE_OVERRIDE_FIELDS = (
-    "num_sentences", "mask_ratio", "temperature", "learning_rate", "steps",
-    "batch_size", "checkpoint_every", "probe_checkpoint_step", "seed",
-    "max_query_tokens", "max_answer_tokens",
-)
-
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -62,7 +55,6 @@ class _Run:
         self.started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
         self.command = args._command
         self.outputs: list[str] = []
-        self._staged: list[str] = []
         if args.out:
             self.out = Path(args.out)
             return
@@ -77,25 +69,40 @@ class _Run:
 
     def path(self, name: str) -> Path:
         """Where to write the output name: a .partial file, moved into place
-        when the writing block ends."""
+        when the writing block ends. A staged directory that a failed or
+        killed run left there is removed first, so no file of it survives."""
+        staged = self.out / f"{name}.partial"
+        if staged.is_dir():
+            shutil.rmtree(staged)
         self.out.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
-        self._staged.append(name)
-        return self.out / f"{name}.partial"
+        return staged
 
     @contextmanager
     def writing(self, config: dict, inputs: dict, seed) -> Iterator[None]:
-        """Drop the earlier run's manifest, run the block, move its outputs
-        into place and write the manifest last, so that a manifest marks a
-        completed run. A failure to write under out raises InputError."""
+        """Run the block, then commit: drop the earlier run's manifest, remove
+        every output it listed and every output of this run, move the staged
+        outputs into place and write the manifest last. Until the block ends
+        the earlier run stays whole, manifest included, and a manifest always
+        marks a completed run. A failure to write under out raises InputError;
+        an earlier manifest that lists a bad output name raises
+        ValidationError before the block runs."""
+        manifest = self.out / "manifest.json"
         try:
-            (self.out / "manifest.json").unlink(missing_ok=True)
+            earlier = _listed_outputs(manifest) if manifest.is_file() else []
             yield
-            for name in self._staged:
+            manifest.unlink(missing_ok=True)
+            for name in sorted({*earlier, *self.outputs}):
+                target = self.out / name
+                if target.is_dir():
+                    shutil.rmtree(target)
+                else:
+                    target.unlink(missing_ok=True)
+            for name in self.outputs:
                 os.replace(self.out / f"{name}.partial", self.out / name)
             # apart from the two clock fields the document is a pure
             # function of the flags
-            write_json(self.out / "manifest.json", {
+            write_json(manifest, {
                 "command": self.command,
                 "config": config,
                 "inputs": {k: str(v) for k, v in inputs.items() if v is not None},
@@ -107,6 +114,20 @@ class _Run:
             })
         except OSError as exc:
             raise InputError(f"cannot write outputs to {self.out}: {exc}") from exc
+
+
+def _listed_outputs(manifest: Path) -> list[str]:
+    """The outputs a run manifest lists, each a relative path inside the run
+    directory: an entry that is not a string, or is empty, absolute or has a
+    ".." part raises ValidationError naming the manifest."""
+    outputs = read_json(manifest, "run manifest").get("outputs")
+    if not isinstance(outputs, list):
+        raise ValidationError(f"{manifest}: no outputs list")
+    for name in outputs:
+        path = Path(name) if isinstance(name, str) else None
+        if path is None or not path.parts or path.is_absolute() or ".." in path.parts:
+            raise ValidationError(f"{manifest}: bad output name {name!r}")
+    return outputs
 
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -159,11 +180,8 @@ def _resolve_checkpoint(checkpoint) -> Path:
         manifest_path = root / "manifest.json"
         if not manifest_path.is_file():
             raise InputError(f"{root}: the rewire run did not complete (no manifest.json)")
-        outputs = read_json(manifest_path, "run manifest").get("outputs")
-        if not isinstance(outputs, list):
-            raise ValidationError(f"{manifest_path}: no outputs list")
         step_dir = Path("checkpoints", f"step_{step:05d}")
-        if str(step_dir) not in outputs:
+        if str(step_dir) not in _listed_outputs(manifest_path):
             raise InputError(f"no checkpoint at step {step} in the run recorded by "
                              f"{manifest_path}")
         return root / step_dir
@@ -209,7 +227,8 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 def cmd_rewire(args: argparse.Namespace) -> int:
     run = _Run(args)
-    overrides = {name: getattr(args, name) for name in REWIRE_OVERRIDE_FIELDS}
+    # build_parser adds a flag for each numeric field; None keeps the file's value
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RewireConfig)}
     config = RewireConfig.from_json(args.config, **overrides)
     encoder = encoder_from_spec(args.encoder)
     pairs = _masked_pairs(args.corpus, config)
@@ -218,11 +237,6 @@ def cmd_rewire(args: argparse.Namespace) -> int:
                      inputs={"encoder": args.encoder, "corpus": args.corpus,
                              "config": args.config},
                      seed=config.seed):
-        # an earlier run's step directories would not be listed in this
-        # run's manifest; the glob also takes a failed run's .partial ones,
-        # and os.replace cannot move a staged directory onto a non-empty one
-        for step_dir in (run.out / "checkpoints").glob("step_*"):
-            shutil.rmtree(step_dir)
         trace = rewire_train(encoder, pairs, config, checkpoint_path=run.path)
         config.to_json(run.path("rewire_config.json"))
         write_loss_trace(trace, run.path("loss_trace.csv"))
@@ -589,11 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help='encoder spec, e.g. "reference:dim=128,seed=7,layers=2"')
     rewire.add_argument("--corpus", required=True, help="one sentence per line")
     rewire.add_argument("--config", required=True, help="RewireConfig JSON")
-    for name in REWIRE_OVERRIDE_FIELDS:
-        flag = "--" + name.replace("_", "-")
-        kind = float if name in ("mask_ratio", "temperature", "learning_rate") else int
-        rewire.add_argument(flag, type=kind, default=None,
-                            help=f"override {name} from the config file")
+    # each numeric RewireConfig field, parsed as the type of its default
+    for f in fields(RewireConfig):
+        if type(f.default) in (int, float):
+            rewire.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                default=None, help=f"override {f.name} from the config file")
     _add_out(rewire)
     rewire.set_defaults(func=cmd_rewire, _command="rewire", _parser=rewire)
 

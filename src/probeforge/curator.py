@@ -27,8 +27,8 @@ from .text import (collapse_norm, contains_contiguous, metric_tokens, read_json,
 MASK_PLACEHOLDER = "[MASK]"
 MAX_GOLD_ANSWERS = 10
 
-DEFAULT_MATCH_THRESHOLD = 0.1
-DEFAULT_ROUGE_THRESHOLD = 0.1
+MATCH_THRESHOLD = 0.1
+ROUGE_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,7 @@ def default_templates() -> dict[str, PromptTemplate]:
         return load_templates(path)
 
 
-def instantiate_prompt(template: PromptTemplate, head_name: str,
-                       mask_placeholder: str = MASK_PLACEHOLDER) -> str:
+def instantiate_prompt(template: PromptTemplate, head_name: str) -> str:
     """Render a query: [X] is substituted first, then the template's own [Y].
 
     Substitution order matters when head_name itself contains "[Y]": the
@@ -163,7 +162,7 @@ def instantiate_prompt(template: PromptTemplate, head_name: str,
     text = pattern.replace("[X]", head_name, 1)
     if x_pos < y_pos:
         y_pos += len(head_name) - len("[X]")
-    return text[:y_pos] + mask_placeholder + text[y_pos + len("[Y]"):]
+    return text[:y_pos] + MASK_PLACEHOLDER + text[y_pos + len("[Y]"):]
 
 
 def _relation_stream_seed(relation_id: str) -> int:
@@ -179,8 +178,7 @@ def group_queries(triples: Iterable[KnowledgeTriple],
                   templates: dict[str, PromptTemplate],
                   max_answers: int = MAX_GOLD_ANSWERS,
                   per_relation_cap: int = 1000,
-                  seed: int = 0,
-                  mask_placeholder: str = MASK_PLACEHOLDER) -> list[ProbeQuery]:
+                  seed: int = 0) -> list[ProbeQuery]:
     """Merge triples into queries keyed by (head, relation).
 
     Tails are deduplicated after normalization and kept in first-appearance
@@ -198,37 +196,25 @@ def group_queries(triples: Iterable[KnowledgeTriple],
     if missing:
         raise ConfigurationError(f"no template registered for relations: {', '.join(missing)}")
 
-    groups: dict[tuple[str, str], list[str]] = {}
-    seen: dict[tuple[str, str], set[str]] = {}
-    relation_order: list[str] = []
+    # relation -> head -> normalized tail -> its first spelling; insertion
+    # order is the order of first appearance of relations, heads and tails
+    groups: dict[str, dict[str, dict[str, str]]] = {}
     for t in triples:
-        key = (t.relation_id, t.head_name)
-        if key not in groups:
-            groups[key] = []
-            seen[key] = set()
-            if t.relation_id not in relation_order:
-                relation_order.append(t.relation_id)
-        norm = collapse_norm(t.tail_name)
-        if norm not in seen[key]:
-            seen[key].add(norm)
-            groups[key].append(t.tail_name)
-
-    by_relation: dict[str, list[tuple[str, list[str]]]] = {rel: [] for rel in relation_order}
-    for (rel, head), tails in groups.items():
-        if 1 <= len(tails) <= max_answers:
-            by_relation[rel].append((head, tails))
+        tails = groups.setdefault(t.relation_id, {}).setdefault(t.head_name, {})
+        tails.setdefault(collapse_norm(t.tail_name), t.tail_name)
 
     queries: list[ProbeQuery] = []
-    for rel in relation_order:
-        entries = by_relation[rel]
+    for rel, heads in groups.items():
+        entries = [(head, list(tails.values())) for head, tails in heads.items()
+                   if len(tails) <= max_answers]
         if len(entries) > per_relation_cap:
             rng = np.random.default_rng([seed, _relation_stream_seed(rel)])
             keep = np.sort(rng.choice(len(entries), size=per_relation_cap, replace=False))
             entries = [entries[i] for i in keep]
         template = templates[rel]
         for head, tails in entries:
-            query_text = instantiate_prompt(template, head, mask_placeholder)
-            if query_text.count(mask_placeholder) != 1:
+            query_text = instantiate_prompt(template, head)
+            if query_text.count(MASK_PLACEHOLDER) != 1:
                 raise ValidationError(
                     f"query for head {head!r} does not contain the mask placeholder exactly once"
                 )
@@ -237,7 +223,7 @@ def group_queries(triples: Iterable[KnowledgeTriple],
                 relation_id=rel,
                 head_name=head,
                 query_text=query_text,
-                answers=list(tails),
+                answers=tails,
             ))
     return queries
 
@@ -284,19 +270,17 @@ def rouge_l(hypothesis: str, reference: str) -> float:
     return 2 * p * r / (p + r)
 
 
-def split_hard(queries: Iterable[ProbeQuery],
-               match_threshold: float = DEFAULT_MATCH_THRESHOLD,
-               rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD) -> list[ProbeQuery]:
+def split_hard(queries: Iterable[ProbeQuery]) -> list[ProbeQuery]:
     """Flag queries as hard when surface overlap cannot give the answer away.
 
-    A query is hard iff avg_match <= match_threshold and the maximum ROUGE-L
+    A query is hard iff avg_match <= MATCH_THRESHOLD and the maximum ROUGE-L
     over its answers (query as hypothesis, answer as reference) is
-    <= rouge_threshold. All queries are retained; only the flag changes.
+    <= ROUGE_THRESHOLD. All queries are retained; only the flag changes.
     """
     out = []
     for q in queries:
-        is_hard = avg_match(q.query_text, q.answers) <= match_threshold and (
-            max(rouge_l(q.query_text, a) for a in q.answers) <= rouge_threshold
+        is_hard = avg_match(q.query_text, q.answers) <= MATCH_THRESHOLD and (
+            max(rouge_l(q.query_text, a) for a in q.answers) <= ROUGE_THRESHOLD
         )
         out.append(dataclasses.replace(q, hard=is_hard, answers=list(q.answers)))
     return out
@@ -308,7 +292,7 @@ def save_dataset(queries: Iterable[ProbeQuery], path) -> None:
                         "answers": q.answers, "hard": q.hard} for q in queries))
 
 
-def load_dataset(path, mask_placeholder: str = MASK_PLACEHOLDER) -> list[ProbeQuery]:
+def load_dataset(path) -> list[ProbeQuery]:
     """Read a query dataset back, validating each line's schema.
 
     An empty file is a valid empty dataset.
@@ -316,8 +300,8 @@ def load_dataset(path, mask_placeholder: str = MASK_PLACEHOLDER) -> list[ProbeQu
     def build(query_id, relation_id, head_name, query_text, answers, hard):
         if not all(isinstance(a, str) for a in answers):
             raise ValidationError("field has wrong type")
-        if query_text.count(mask_placeholder) != 1:
-            raise ValidationError(f"query_text must contain {mask_placeholder!r} exactly once")
+        if query_text.count(MASK_PLACEHOLDER) != 1:
+            raise ValidationError(f"query_text must contain {MASK_PLACEHOLDER!r} exactly once")
         return ProbeQuery(query_id, relation_id, head_name, query_text, answers, hard)
 
     return read_records(path, "dataset", {

@@ -383,13 +383,15 @@ class ReferenceEncoder(EncoderHandle):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(encoder: EncoderHandle, ckpt_dir, step: int | None = None) -> Path:
+def save_checkpoint(encoder: EncoderHandle, ckpt_dir) -> Path:
     """Write one weights-plus-sidecar checkpoint directory.
 
     Arrays go to individual .npy files (no archive timestamps, so identical
     weights produce identical bytes). The sidecar, written last, records
-    identity, embedding_dim, max_layers and step, the sha256 of each .npy
-    file, plus whatever the backend needs to rebuild itself.
+    identity, embedding_dim, max_layers and the encoder's own step, the
+    sha256 of each .npy file, plus whatever the backend needs to rebuild
+    itself. The step is the encoder's, the one its identity ends in, so the
+    rebuilt identity matches the sidecar whatever step training resumed at.
     """
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -404,7 +406,7 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir, step: int | None = None) -
         "identity": encoder.identity,
         "embedding_dim": encoder.embedding_dim,
         "max_layers": encoder.max_layers,
-        "step": encoder.step if step is None else int(step),
+        "step": encoder.step,
         "backend": getattr(encoder, "backend", "unknown"),
         "config": encoder.sidecar_config(),
         "sha256": digests,

@@ -27,6 +27,9 @@ from .errors import (
 from .text import read_json, read_lines, truncate_tokens, write_csv, write_json
 
 _SENTENCE_END = ".!?"
+# the whitespace word counts of a sentence sample_sentences may draw
+MIN_WORDS = 5
+MAX_WORDS = 64
 
 
 @dataclass
@@ -100,12 +103,11 @@ class MaskedPair:
             raise ValidationError("masked pair answer must be non-empty")
 
 
-def sample_sentences(corpus, n: int, seed: int, min_words: int = 5,
-                     max_words: int = 64) -> list[str]:
+def sample_sentences(corpus, n: int, seed: int) -> list[str]:
     """Uniform reservoir sample of n eligible sentences from a corpus.
 
     corpus is a path or an iterable of lines; eligibility means the
-    whitespace word count lies in [min_words, max_words]. When exactly n
+    whitespace word count lies in [MIN_WORDS, MAX_WORDS]. When exactly n
     sentences are eligible, they come back unchanged in input order.
     """
     if n < 1:
@@ -119,7 +121,7 @@ def sample_sentences(corpus, n: int, seed: int, min_words: int = 5,
         if not line:
             continue
         total += 1
-        if not min_words <= len(line.split()) <= max_words:
+        if not MIN_WORDS <= len(line.split()) <= MAX_WORDS:
             continue
         if eligible < n:
             reservoir.append(line)
@@ -165,9 +167,10 @@ def tail_mask(sentence: str, mask_ratio: float,
     return MaskedPair(query=query, answer=" ".join(words[w - m:]))
 
 
-def _infonce(query_vectors, answer_vectors, temperature, with_grads):
-    """The loss and, with_grads, its gradient with respect to the stacked
-    (2N, d) matrix of the query rows over the answer rows (else None)."""
+def infonce_loss_and_grads(query_vectors, answer_vectors, temperature: float):
+    """Loss plus the analytic gradient w.r.t. the raw query and answer rows,
+    stacked as one (2N, d) array: queries over answers, the row order that
+    backward_train takes."""
     q = np.asarray(query_vectors, dtype=float)
     a = np.asarray(answer_vectors, dtype=float)
     if q.ndim != 2 or q.shape != a.shape or q.shape[0] < 1:
@@ -196,8 +199,6 @@ def _infonce(query_vectors, answer_vectors, temperature, with_grads):
     denominators = shifted.sum(axis=1)
     lse = row_max + np.log(denominators)
     loss = float((lse - pos).sum())
-    if not with_grads:
-        return loss, None
 
     g = shifted                                           # softmax minus the one-hot positive
     g /= denominators[:, None]
@@ -223,15 +224,7 @@ def infonce_loss(query_vectors, answer_vectors, temperature: float) -> float:
     Cosine similarity, scaled by the temperature. A single pair scores
     exactly zero since its denominator holds only the positive.
     """
-    loss, _ = _infonce(query_vectors, answer_vectors, temperature, with_grads=False)
-    return loss
-
-
-def infonce_loss_and_grads(query_vectors, answer_vectors, temperature: float):
-    """Loss plus the analytic gradient w.r.t. the raw query and answer rows,
-    stacked as one (2N, d) array: queries over answers, the row order that
-    backward_train takes."""
-    return _infonce(query_vectors, answer_vectors, temperature, with_grads=True)
+    return infonce_loss_and_grads(query_vectors, answer_vectors, temperature)[0]
 
 
 class TraceRow(NamedTuple):
@@ -299,5 +292,5 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         trace.append(TraceRow(step, loss, loss / n))
         if checkpoint_path is not None and config.checkpoint_every > 0 \
                 and step % config.checkpoint_every == 0:
-            save_checkpoint(encoder, checkpoint_path(f"checkpoints/step_{step:05d}"), step=step)
+            save_checkpoint(encoder, checkpoint_path(f"checkpoints/step_{step:05d}"))
     return trace

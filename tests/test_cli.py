@@ -49,6 +49,12 @@ def read_manifest(out_dir: Path) -> dict:
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root, by its path relative to root."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def manifest_core(out_dir: Path) -> dict:
     doc = read_manifest(out_dir)
     doc.pop("started_at")
@@ -247,32 +253,34 @@ def test_probe_rejects_step_dir_left_by_an_earlier_run(tmp_path, curated, rewire
     assert "no checkpoint at step 10" in err
 
 
-def test_failed_rewire_rerun_keeps_the_earlier_artifacts(tmp_path, rewired, config_path,
-                                                        capsys, monkeypatch):
-    out = tmp_path / "rerun"
-    shutil.copytree(rewired, out)
-    earlier = {name: (out / name).read_bytes()
-               for name in ("rewire_config.json", "loss_trace.csv")}
+def _fail_one_step_after_the_first_checkpoint(patch) -> None:
     backward_train = ReferenceEncoder.backward_train
     calls = []
 
-    # the rerun fails one step after writing its first checkpoint
     def failing_backward(self, grads, learning_rate):
         calls.append(learning_rate)
         if len(calls) > SMALL_CONFIG["checkpoint_every"]:
             raise NumericalError("diverged")
         return backward_train(self, grads, learning_rate)
 
-    monkeypatch.setattr(ReferenceEncoder, "backward_train", failing_backward)
+    patch.setattr(ReferenceEncoder, "backward_train", failing_backward)
+
+
+def test_failed_rewire_rerun_keeps_the_earlier_artifacts(tmp_path, rewired, config_path,
+                                                        capsys, monkeypatch):
+    out = tmp_path / "rerun"
+    shutil.copytree(rewired, out)
+    earlier = tree_bytes(out)
+    assert {"manifest.json", "checkpoints/step_00010/sidecar.json",
+            "checkpoints/step_00020/w_in.npy"} <= set(earlier)
+    _fail_one_step_after_the_first_checkpoint(monkeypatch)
     code = main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
                  "--config", config_path, "--seed", "8", "--out", str(out)])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
+    # the first run's files, its checkpoints and manifest included, are intact
     for name, data in earlier.items():
         assert (out / name).read_bytes() == data, name
-    assert [p.name for p in (out / "checkpoints").glob("step_*")
-            if p.suffix != ".partial"] == []
-    assert not (out / "manifest.json").exists()
 
 
 def test_probe_rejects_rewire_dir_whose_manifest_is_not_json(tmp_path, curated, rewired,
@@ -292,7 +300,7 @@ def test_probe_rejects_rewire_dir_without_manifest(tmp_path, curated, rewired,
     err = _probe_rewire_dir_error(copy, curated, tmp_path / "probe", capsys)
     assert "did not complete" in err
 
-    # a rerun that fails takes the earlier run's manifest with it
+    # a rerun that fails leaves the earlier run, manifest included, to probe
     def fail(*args, **kwargs):
         raise InputError("interrupted")
 
@@ -301,8 +309,13 @@ def test_probe_rejects_rewire_dir_without_manifest(tmp_path, curated, rewired,
     assert main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
                  "--config", config_path, "--out", str(tmp_path / "failed")]) == 1
     capsys.readouterr()
-    err = _probe_rewire_dir_error(tmp_path / "failed", curated, tmp_path / "probe", capsys)
-    assert "did not complete" in err
+    out = tmp_path / "probe"
+    assert main(["probe", "--checkpoint", str(tmp_path / "failed"),
+                 "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--strategy", "contrastive",
+                 "--out", str(out)]) == 0
+    assert "@step10" in read_manifest(out)["config"]["model"]
+
 
 def _truncate_weights(ckpt: Path) -> str:
     path = ckpt / "w_in.npy"
@@ -500,6 +513,7 @@ def test_failed_write_keeps_the_earlier_artifact(tmp_path, curated, probed, caps
     out = tmp_path / "probed"
     shutil.copytree(probed, out)
     earlier = (out / "predictions.jsonl").read_bytes()
+    earlier_manifest = (out / "manifest.json").read_bytes()
 
     def failing_save(predictions, path):
         Path(path).write_text('{"query_id": "q')
@@ -513,7 +527,62 @@ def test_failed_write_keeps_the_earlier_artifact(tmp_path, curated, probed, caps
     assert len(err) == 1
     assert err[0].startswith(f"probeforge: error: cannot write outputs to {out}: ")
     assert (out / "predictions.jsonl").read_bytes() == earlier
-    assert not (out / "manifest.json").exists()
+    assert (out / "manifest.json").read_bytes() == earlier_manifest
+
+
+def test_rewire_rerun_with_too_large_a_batch_changes_nothing(tmp_path, rewired,
+                                                             config_path, capsys):
+    out = tmp_path / "rerun"
+    shutil.copytree(rewired, out)
+    earlier = tree_bytes(out)
+    code = main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+                 "--config", config_path, "--batch-size", "100000", "--out", str(out)])
+    assert code == 1
+    assert "need at least batch_size=100000 pairs" in capsys.readouterr().err
+    assert tree_bytes(out) == earlier
+
+
+@pytest.mark.parametrize("entry", ["../victim", "{victim}", "", ".", 7],
+                         ids=["parent", "absolute", "empty", "dot", "not-a-string"])
+def test_rerun_refuses_a_manifest_that_lists_a_path_outside_out(tmp_path, curated,
+                                                                probed, capsys, entry):
+    victim = tmp_path / "victim"
+    victim.write_text("keep me")
+    out = tmp_path / "eval"
+    out.mkdir()
+    entry = entry.format(victim=victim) if isinstance(entry, str) else entry
+    (out / "manifest.json").write_text(json.dumps({"outputs": [entry]}))
+    code = main(["eval", "--predictions", str(probed / "predictions.jsonl"),
+                 "--dataset", str(curated / "full.jsonl"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("probeforge: error: ")
+    assert f"bad output name {entry!r}" in err[0]
+    assert victim.read_text() == "keep me"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_rewire_rerun_clears_a_failed_run_s_staged_checkpoint(tmp_path, curated,
+                                                             config_path, capsys,
+                                                             monkeypatch):
+    out = tmp_path / "rewired"
+    # a three-layer run fails one step after staging its step-10 checkpoint
+    with monkeypatch.context() as patch:
+        _fail_one_step_after_the_first_checkpoint(patch)
+        assert main(["rewire", "--encoder", "reference:dim=32,seed=3,layers=3,feature_dim=512",
+                     "--corpus", CORPUS, "--config", config_path, "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert (out / "checkpoints" / "step_00010.partial" / "block_02.npy").is_file()
+
+    assert main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+                 "--config", config_path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "checkpoints" / "step_00010").iterdir()) == [
+        "block_00.npy", "block_01.npy", "sidecar.json", "w_in.npy"]
+    assert main(["probe", "--checkpoint", str(out),
+                 "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--strategy", "contrastive",
+                 "--out", str(tmp_path / "probe")]) == 0
 
 
 def test_probe_needs_encoder_or_checkpoint(curated, capsys):
@@ -668,6 +737,18 @@ def test_eval_length_bins(tmp_path, curated, probed):
     assert rows[0] == ["bin", "count", "acc1", "acc10"]
     assert [r[0] for r in rows[1:]] == ["<10", "[10,20)", ">=20"]
     assert sum(int(r[1]) for r in rows[1:]) == 54
+
+
+def test_eval_rerun_without_bins_removes_the_earlier_bins(tmp_path, curated, probed):
+    out = tmp_path / "eval"
+    argv = ["eval", "--predictions", str(probed / "predictions.jsonl"),
+            "--dataset", str(curated / "full.jsonl"), "--out", str(out)]
+    assert main([*argv, "--length-bins", "10,20"]) == 0
+    assert (out / "bins.csv").is_file()
+    assert main(argv) == 0
+    assert not (out / "bins.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "report.csv", "report.json"]
 
 
 def test_eval_annotations_confusion(tmp_path, curated, probed):

@@ -472,3 +472,13 @@ def test_checkpoint_cadence(tmp_path):
         "step_00004", "step_00008", "step_00012"]
     reloaded = load_checkpoint(tmp_path / "checkpoints" / "step_00008")
     assert reloaded.step == 8
+
+
+def test_checkpoint_of_a_run_started_past_step_zero_loads(tmp_path):
+    # the encoder counts 4 steps although the loop numbers them 5..8; the
+    # sidecar records the encoder's own step, the one its identity ends in
+    trained = toy_encoder()
+    rewire_train(trained, toy_pairs(), quick_config(steps=8, checkpoint_every=4),
+                 checkpoint_path=tmp_path.joinpath, start_step=4)
+    reloaded = load_checkpoint(tmp_path / "checkpoints" / "step_00008")
+    assert reloaded.identity == trained.identity
