@@ -82,7 +82,8 @@ class _Run:
     def writing(self, config: dict, inputs: dict, seed) -> Iterator[None]:
         """Run the block, then commit: drop the earlier run's manifest, remove
         every output it listed and every output of this run, move the staged
-        outputs into place and write the manifest last. Until the block ends
+        outputs into place, remove every other *.partial under out and write
+        the manifest last. Until the block ends
         the earlier run stays whole, manifest included, and a manifest always
         marks a completed run. A failure to write under out raises InputError;
         an earlier manifest that lists a bad output name raises
@@ -100,6 +101,13 @@ class _Run:
                     target.unlink(missing_ok=True)
             for name in self.outputs:
                 os.replace(self.out / f"{name}.partial", self.out / name)
+            # what a failed or killed run staged under another name; sorted,
+            # so a staged directory goes before anything inside it
+            for stale in sorted(self.out.rglob("*.partial")):
+                if stale.is_dir() and not stale.is_symlink():
+                    shutil.rmtree(stale)
+                else:
+                    stale.unlink(missing_ok=True)
             # apart from the two clock fields the document is a pure
             # function of the flags
             write_json(manifest, {

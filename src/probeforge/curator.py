@@ -92,8 +92,9 @@ def load_triples(source) -> TripleLoadResult:
     (head_id, tail_id) are accepted and ignored.
 
     Comment lines starting with "#" and blank lines are ignored. Malformed
-    lines (wrong field count, empty mandatory field) are counted rather than
-    silently dropped; an input with zero valid triples is an error.
+    lines (wrong field count, empty mandatory field, a tail with no word
+    token) are counted rather than silently dropped; an input with zero
+    valid triples is an error.
     """
     triples: list[KnowledgeTriple] = []
     malformed = total = 0
@@ -107,7 +108,8 @@ def load_triples(source) -> TripleLoadResult:
             malformed += 1
             continue
         head, rel, tail = (f.strip() for f in fields[:3])
-        if not head or not rel or not tail:
+        # a tail of punctuation alone leaves no token to score overlap on
+        if not head or not rel or not metric_tokens(tail):
             malformed += 1
             continue
         triples.append(KnowledgeTriple(head, rel, tail))
@@ -228,15 +230,16 @@ def group_queries(triples: Iterable[KnowledgeTriple],
     return queries
 
 
+def _match_fraction(query_tokens: list[str], answer_tokens: list[list[str]]) -> float:
+    matched = sum(1 for a in answer_tokens if contains_contiguous(a, query_tokens))
+    return matched / len(answer_tokens)
+
+
 def avg_match(query_text: str, answers: list[str]) -> float:
     """Fraction of answers whose tokens appear contiguously inside the query."""
     if not answers:
         raise ValueError("avg_match requires at least one answer")
-    query_tokens = metric_tokens(query_text)
-    matched = sum(
-        1 for a in answers if contains_contiguous(metric_tokens(a), query_tokens)
-    )
-    return matched / len(answers)
+    return _match_fraction(metric_tokens(query_text), [metric_tokens(a) for a in answers])
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -252,22 +255,25 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
+def _rouge_f(hyp: list[str], ref: list[str]) -> float:
+    if not hyp or not ref:
+        raise ValueError("rouge_l requires both sides to normalize to at least one token")
+    # sides that share no token have no common subsequence
+    lcs = _lcs_length(hyp, ref) if not set(hyp).isdisjoint(ref) else 0
+    p = lcs / len(hyp)
+    r = lcs / len(ref)
+    if p + r == 0:
+        return 0.0
+    return 2 * p * r / (p + r)
+
+
 def rouge_l(hypothesis: str, reference: str) -> float:
     """Token-level longest-common-subsequence F measure.
 
     P = LCS/|hyp|, R = LCS/|ref|, F = 2PR/(P+R), with F = 0 when P+R = 0.
     Precision and recall carry equal weight.
     """
-    hyp = metric_tokens(hypothesis)
-    ref = metric_tokens(reference)
-    if not hyp or not ref:
-        raise ValueError("rouge_l requires both sides to normalize to at least one token")
-    lcs = _lcs_length(hyp, ref)
-    p = lcs / len(hyp)
-    r = lcs / len(ref)
-    if p + r == 0:
-        return 0.0
-    return 2 * p * r / (p + r)
+    return _rouge_f(metric_tokens(hypothesis), metric_tokens(reference))
 
 
 def split_hard(queries: Iterable[ProbeQuery]) -> list[ProbeQuery]:
@@ -276,11 +282,14 @@ def split_hard(queries: Iterable[ProbeQuery]) -> list[ProbeQuery]:
     A query is hard iff avg_match <= MATCH_THRESHOLD and the maximum ROUGE-L
     over its answers (query as hypothesis, answer as reference) is
     <= ROUGE_THRESHOLD. All queries are retained; only the flag changes.
+    Each query and answer is tokenized once.
     """
     out = []
     for q in queries:
-        is_hard = avg_match(q.query_text, q.answers) <= MATCH_THRESHOLD and (
-            max(rouge_l(q.query_text, a) for a in q.answers) <= ROUGE_THRESHOLD
+        query_tokens = metric_tokens(q.query_text)
+        answer_tokens = [metric_tokens(a) for a in q.answers]
+        is_hard = _match_fraction(query_tokens, answer_tokens) <= MATCH_THRESHOLD and (
+            max(_rouge_f(query_tokens, a) for a in answer_tokens) <= ROUGE_THRESHOLD
         )
         out.append(dataclasses.replace(q, hard=is_hard, answers=list(q.answers)))
     return out

@@ -30,6 +30,11 @@ from .errors import ConfigurationError, InputError, NumericalError, ValidationEr
 from .text import read_json, write_json
 
 SIDECAR_NAME = "sidecar.json"
+# most texts whose dense feature rows ReferenceEncoder.encode builds at once;
+# near-equal slices of a larger batch hold more than half as many, which with
+# OpenBLAS keeps the demo encoder's outputs bit-identical to one product over
+# the whole batch
+ENCODE_SLICE = 128
 
 
 class EncoderHandle(ABC):
@@ -106,6 +111,29 @@ def _reserved(array: np.ndarray, used: int, size: int, dtype=None) -> np.ndarray
                      dtype=dtype)
     grown[:used] = array[:used]
     return grown
+
+
+def near_equal_slices(n_rows: int, most: int) -> list[slice]:
+    """Near-equal ranges covering n_rows rows, each of at most most rows.
+
+    Near-equal rather than full ranges plus a remainder, so that no range is
+    a sliver of a few rows: BLAS may round a product of very few rows
+    differently from a tall one.
+    """
+    count = -(-n_rows // most)
+    bounds = [n_rows * i // count for i in range(count + 1)] if count else []
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _Gathered(NamedTuple):
+    """Where a batch's trigrams sit in the feature store."""
+
+    ids: np.ndarray       # each text's row in the store
+    lengths: np.ndarray   # each text's number of distinct trigrams
+    at: np.ndarray        # the store position of each trigram, text by text
+    buckets: np.ndarray   # each trigram's bucket, as intp
+    remap: np.ndarray     # touched bucket -> its column in the rows
+    cols: np.ndarray      # the touched buckets, ascending
 
 
 class _TrainCache(NamedTuple):
@@ -193,23 +221,12 @@ class ReferenceEncoder(EncoderHandle):
     def max_layers(self) -> int:
         return len(self.blocks)
 
-    def _features(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols): unit-norm trigram counts on the buckets the batch touches.
-
-        cols is the ascending array of buckets some text touches and rows the
-        (len(texts), len(cols)) matrix of their values, so rows scattered back
-        at cols is the dense (len(texts), feature_dim) batch. Texts not yet in
-        the encoder's feature store are added to it first; the batch's runs
-        of buckets and counts are then gathered from the store, and each value
-        is rebuilt as its count over its text's norm. Counts are small
-        integers, so the sum of squares is exact in any order and every value
-        is bit-identical to normalizing the dense count row.
-        """
+    def _gather(self, texts: list[str]) -> _Gathered:
+        """Where the batch's trigrams sit in the feature store, and the columns
+        they fill. Texts not yet in the store are added to it first."""
         row_of = self._row_of
         if not all(map(row_of.__contains__, texts)):
             self._cache_features([t for t in dict.fromkeys(texts) if t not in row_of])
-        if not texts:
-            return np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
         ids = np.fromiter(map(row_of.__getitem__, texts), dtype=np.intp, count=len(texts))
         starts = self._indptr[ids]
         lengths = self._indptr[ids + 1] - starts
@@ -225,12 +242,35 @@ class ReferenceEncoder(EncoderHandle):
         # touched bucket -> its column in rows
         remap = np.empty(self.feature_dim, dtype=np.intp)
         remap[cols] = np.arange(len(cols))
-        rows = np.zeros((len(texts), len(cols)))
+        return _Gathered(ids, lengths, at, buckets, remap, cols)
+
+    def _rows(self, batch: _Gathered, part: slice) -> np.ndarray:
+        """The (len(part), len(batch.cols)) feature rows of the texts part of
+        a gathered batch: each value is its count over its text's norm.
+        Counts are small integers, so the sum of squares is exact in any
+        order and every value is bit-identical to normalizing the dense
+        count row."""
+        lengths = batch.lengths[part]
+        # the part's trigrams, in at and buckets
+        first = int(batch.lengths[:part.start].sum())
+        trigrams = slice(first, first + int(lengths.sum()))
+        rows = np.zeros((len(lengths), len(batch.cols)))
         # each trigram's flat position in rows: its text's row start plus its column
-        flat = np.repeat(np.arange(0, rows.size, len(cols)), lengths)
-        flat += remap[buckets]
-        rows.ravel()[flat] = self._counts[at] / np.repeat(self._norms[ids], lengths)
-        return rows, cols
+        flat = np.repeat(np.arange(len(lengths)) * len(batch.cols), lengths)
+        flat += batch.remap[batch.buckets[trigrams]]
+        rows.ravel()[flat] = (self._counts[batch.at[trigrams]]
+                              / np.repeat(self._norms[batch.ids[part]], lengths))
+        return rows
+
+    def _features(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols): unit-norm trigram counts on the buckets the batch touches.
+
+        cols is the ascending array of buckets some text touches and rows the
+        (len(texts), len(cols)) matrix of their values, so rows scattered back
+        at cols is the dense (len(texts), feature_dim) batch.
+        """
+        batch = self._gather(texts)
+        return self._rows(batch, slice(0, len(texts))), batch.cols
 
     def _cache_features(self, texts: list[str]) -> None:
         """Append the trigram runs of texts, none of them stored yet, to the
@@ -300,28 +340,39 @@ class ReferenceEncoder(EncoderHandle):
         # kept as a hook so tests can observe which blocks a forward pass reads
         return self.blocks[i]
 
-    def _forward(self, texts: list[str], layer_limit: int | None, keep_cache: bool):
-        limit = self.resolve_layer_limit(layer_limit)
-        # buckets no text touches add nothing to the projection, so only the
-        # touched rows of w_in take part
-        phi, cols = self._features(_validate_texts(texts))
-        w_cols = self.w_in[cols]
-        states = [phi @ w_cols]
-        tanhs = []
+    def _layers(self, state: np.ndarray, limit: int):
+        """The input to each of the first limit blocks, then the output, and
+        each block's tanh activation."""
+        states, tanhs = [state], []
         for i in range(limit):
             t = states[-1] @ self._block_weight(i)
             np.tanh(t, out=t)
             tanhs.append(t)
             states.append(states[-1] + t)
-        if keep_cache:
-            self._train_cache = _TrainCache(phi, cols, w_cols, states, tanhs, limit)
-        return states[-1]
+        return states, tanhs
 
     def encode(self, texts, layer_limit=None):
-        return self._forward(texts, layer_limit, keep_cache=False)
+        """See EncoderHandle.encode. The dense feature rows are built at most
+        ENCODE_SLICE texts at a time, each slice over the columns the whole
+        batch touches, so only one slice of them is alive at a time."""
+        limit = self.resolve_layer_limit(layer_limit)
+        texts = _validate_texts(texts)
+        batch = self._gather(texts)
+        w_cols = self.w_in[batch.cols]
+        state = np.empty((len(texts), self.dim))
+        for part in near_equal_slices(len(texts), ENCODE_SLICE):
+            state[part] = self._rows(batch, part) @ w_cols
+        return self._layers(state, limit)[0][-1]
 
     def forward_train(self, texts, layer_limit=None):
-        return self._forward(texts, layer_limit, keep_cache=True)
+        limit = self.resolve_layer_limit(layer_limit)
+        # buckets no text touches add nothing to the projection, so only the
+        # touched rows of w_in take part
+        phi, cols = self._features(_validate_texts(texts))
+        w_cols = self.w_in[cols]
+        states, tanhs = self._layers(phi @ w_cols, limit)
+        self._train_cache = _TrainCache(phi, cols, w_cols, states, tanhs, limit)
+        return states[-1]
 
     def backward_train(self, grad_outputs, learning_rate):
         if self._train_cache is None:

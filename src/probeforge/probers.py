@@ -9,13 +9,16 @@ caller.
 
 Retrieval is exact: every query is scored against every entity, and the
 top k come out ordered by descending score with ties going to the lower
-entity index. Names and queries are encoded, and queries scored, in blocks
-of at most BLOCK_BYTES of float64 rows: an encode block holds feature rows
-at most feature_dim wide, and a score block holds one score row per query
-plus the partitioned copy that k-selection makes, each one entry per entity
-wide. Only one block is alive at a time, so retrieval's working memory
-stays within BLOCK_BYTES on top of the index and the query embeddings,
-whatever the vocabulary size.
+entity index. Names and queries are encoded in groups of at most
+BLOCK_BYTES of feature_dim-wide float64 rows, and a ReferenceEncoder builds
+a group's dense feature rows one slice of at most ENCODE_SLICE texts at a
+time. Queries are then scored in tiles: near-equal runs of at most
+TILE_ENTITIES entities, against as many queries as keep a tile of scores
+and the copy k-selection makes of it within TILE_BYTES. Each query keeps a
+running exact top k across the entity tiles, and one tile is alive at a
+time. So retrieval's working memory is one encode slice, or one score tile
+and its partition copy, on top of the index, the query embeddings and the
+top-k lists, whatever the vocabulary size.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .curator import MASK_PLACEHOLDER, ProbeQuery
-from .encoders import EncoderHandle, GeneratorHandle, MLMHeadHandle, unit_rows
+from .encoders import (EncoderHandle, GeneratorHandle, MLMHeadHandle,
+                       near_equal_slices, unit_rows)
 from .errors import (
     ConfigurationError,
     InputError,
@@ -40,36 +44,29 @@ from .text import collapse_norm, read_records, write_jsonl
 UNIT_NORM_TOL = 1e-6
 DEFAULT_NUM_MASKS = 5
 MASK_STRATEGIES = ("independent", "order", "confidence")
-# most bytes of float64 rows one block may hold: the feature rows an encode
-# builds, or the score rows of the queries being ranked with their partition
+# most bytes of feature_dim-wide float64 rows one encode group may span; a
+# group's texts share the columns their trigrams touch
 BLOCK_BYTES = 8 * 2**20
-
-
-def _blocks(n_rows: int, row_width: int) -> list[slice]:
-    """Near-equal row ranges of at most BLOCK_BYTES of row_width floats each.
-
-    Near-equal rather than full blocks plus a remainder, so that no block is
-    a sliver of a few rows: BLAS may round a product of very few rows
-    differently from a tall one.
-    """
-    per_block = max(1, BLOCK_BYTES // (8 * row_width))
-    count = -(-n_rows // per_block)
-    bounds = [n_rows * i // count for i in range(count + 1)] if count else []
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+# most entities one score tile spans; near-equal tiles of a larger index are
+# at least half as wide, which with OpenBLAS keeps each score bit-identical
+# to the one a product over the whole index gives
+TILE_ENTITIES = 4096
+# most bytes of one score tile and the copy np.partition makes of it
+TILE_BYTES = 2 * 2**20
 
 
 def _encode_width(encoder: EncoderHandle) -> int:
-    # an encode holds one feature row per text, over the buckets its block
-    # touches, so at most feature_dim wide; an encoder without input features
-    # is bounded by its embedding width instead
+    # an encode group spans at most feature_dim columns; an encoder without
+    # input features is bounded by its embedding width instead
     return getattr(encoder, "feature_dim", encoder.embedding_dim)
 
 
 def _encode_units(encoder: EncoderHandle, texts: list[str], layer_limit: int) -> np.ndarray:
-    """Unit-norm embeddings of texts, encoded one block of feature rows at a time."""
+    """Unit-norm embeddings of texts, encoded one group at a time."""
     vectors = np.empty((len(texts), encoder.embedding_dim))
-    for block in _blocks(len(texts), _encode_width(encoder)):
-        vectors[block], _ = unit_rows(encoder.encode(texts[block], layer_limit=layer_limit),
+    group = max(1, BLOCK_BYTES // (8 * _encode_width(encoder)))
+    for part in near_equal_slices(len(texts), group):
+        vectors[part], _ = unit_rows(encoder.encode(texts[part], layer_limit=layer_limit),
                                      "encoded texts")
     return vectors
 
@@ -163,13 +160,15 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     Each prediction holds the min(k, len(index)) entities with the highest
     scores, ordered by descending score; equal scores keep index order, so
     the result equals sorting every entity by (-score, entity index).
-    Queries are encoded, then scored, a block at a time. An encode block
-    holds at most BLOCK_BYTES of feature rows; a score block's rows and the
-    copy np.partition makes of them together hold at most BLOCK_BYTES, and
-    one score block is alive at a time. So memory is bounded by one block
-    plus the index and the query embeddings. Within a score block,
-    np.partition finds each row's k-th largest score, and only the entities
-    scoring at least that much are sorted (exact flat k-selection).
+    Queries are encoded, then scored a tile at a time: a tile holds the
+    scores of a block of queries against at most TILE_ENTITIES entities,
+    and it and the copy np.partition makes of it hold at most TILE_BYTES.
+    So memory is bounded by one encode slice, or one tile and its copy, on
+    top of the index, the query embeddings and the top-k lists, whatever
+    the vocabulary size. Each query keeps a running top k across the
+    tiles, taken in index order: k-selection in a tile sets each row's
+    floor, and only the scores at or above the floor, the k-th best so far,
+    are merged by (-score, entity index) into the running lists.
     """
     if encoder.identity != index.encoder_identity:
         raise ConfigurationError(
@@ -180,31 +179,65 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
         raise ValidationError(f"k must be >= 1, got {k}")
     top = min(k, len(index))
     encoded = _encode_units(encoder, [q.query_text for q in queries], index.layer_limit)
+    blocks, tiles = _score_tiles(len(queries), len(index))
+    names = index.entity_names
     predictions = []
-    # each score row has a partitioned copy beside it, hence twice the width
-    for block in _blocks(len(queries), 2 * len(index)):
-        predictions += _rank_block(index, queries[block], encoded[block], top)
+    for block in blocks:
+        ids, scores = _top_entities(encoded[block], index.vectors, tiles, top)
+        predictions += [
+            RankedPrediction(query.query_id, tuple(zip(map(names.__getitem__, row_ids),
+                                                       row_scores)), "contrastive")
+            for query, row_ids, row_scores in zip(queries[block], ids.tolist(),
+                                                  scores.tolist())]
     return predictions
 
 
-def _rank_block(index: EntityIndex, queries: Sequence[ProbeQuery],
-                vectors: np.ndarray, top: int) -> list[RankedPrediction]:
-    # the block's scores die when this returns, before the next block's
-    # product is allocated
-    n = len(index)
-    sims = vectors @ index.vectors.T
-    # a copy, so the partitioned array is freed at once instead of living on
-    # as the base of a column view
-    kth = np.partition(sims, n - top, axis=1)[:, n - top].copy()
-    predictions = []
-    for query, scores, floor in zip(queries, sims, kth):
-        candidates = np.flatnonzero(scores >= floor)
-        order = candidates[np.argsort(-scores[candidates], kind="stable")[:top]]
-        predictions.append(RankedPrediction(
-            query.query_id,
-            tuple((index.entity_names[j], float(scores[j])) for j in order),
-            strategy="contrastive"))
-    return predictions
+def _score_tiles(n_queries: int, n_entities: int) -> tuple[list[slice], list[slice]]:
+    """The query blocks and the entity tiles retrieval scores: near-equal
+    tiles of at most TILE_ENTITIES entities, and near-equal blocks of as many
+    queries as keep a tile of scores and its partitioned copy within
+    TILE_BYTES."""
+    tiles = near_equal_slices(n_entities, TILE_ENTITIES)
+    widest = -(-n_entities // len(tiles))
+    # each score has a partitioned copy beside it, hence 16 bytes an entry
+    return near_equal_slices(n_queries, TILE_BYTES // (16 * widest)), tiles
+
+
+def _top_entities(vectors: np.ndarray, entities: np.ndarray, tiles: list[slice],
+                  top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and the scores, each (len(vectors), top), of every row's top
+    entities by (-score, entity index), scored one tile of entities at a
+    time; the tiles cover the entities in ascending order."""
+    n_rows = len(vectors)
+    rows = ids = np.zeros(0, dtype=np.intp)
+    scores = np.zeros(0)
+    # each row's worst kept score once it holds top entities; an entity
+    # scoring less can never enter the row's top
+    floor = np.full(n_rows, -np.inf)
+    for tile in tiles:
+        sims = vectors @ entities[tile].T
+        if len(rows) < n_rows * top:
+            # a row still short of top entities takes the tile's best ones;
+            # their floor is found in a copy of the tile
+            cut = sims.shape[1] - min(top, sims.shape[1])
+            np.maximum(floor, np.partition(sims, cut, axis=1)[:, cut], out=floor)
+        # flat positions, as np.nonzero on a 2-d mask is many times slower
+        passed = np.flatnonzero(sims >= floor[:, None])
+        new_rows, cols = np.divmod(passed, sims.shape[1])
+        rows = np.concatenate([rows, new_rows])
+        ids = np.concatenate([ids, cols + tile.start])
+        scores = np.concatenate([scores, sims.ravel()[passed]])
+        # sorted by row, then descending score; equal scores keep index order
+        order = np.lexsort((ids, -scores, rows))
+        rows, ids, scores = rows[order], ids[order], scores[order]
+        # each entry's rank in its row: its position less its row's first
+        keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < top
+        rows, ids, scores = rows[keep], ids[keep], scores[keep]
+        counts = np.bincount(rows, minlength=n_rows)
+        full = counts == top
+        floor = np.full(n_rows, -np.inf)
+        floor[full] = scores[np.cumsum(counts)[full] - 1]
+    return ids.reshape(n_rows, top), scores.reshape(n_rows, top)
 
 
 # ---------------------------------------------------------------------------

@@ -281,13 +281,19 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         offset = ((step - 1) % batches_per_epoch) * config.batch_size
         batch = perm[offset:offset + config.batch_size].tolist()
         queries = [all_queries[i] for i in batch]
-        outputs = encoder.forward_train(queries + [all_answers[i] for i in batch])
         n = len(batch)
-        loss, grads = infonce_loss_and_grads(outputs[:n], outputs[n:], config.temperature)
-        if not math.isfinite(loss):
-            raise NumericalError(
-                f"non-finite loss at step {step} (batch {_batch_fingerprint(queries)})"
-            )
+        try:
+            # a diverged encoder overflows here; the error below reports it
+            # in one line, without numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                outputs = encoder.forward_train(queries + [all_answers[i] for i in batch])
+                loss, grads = infonce_loss_and_grads(outputs[:n], outputs[n:],
+                                                     config.temperature)
+            if not math.isfinite(loss):
+                raise NumericalError(f"the loss is {loss}")
+        except NumericalError as exc:
+            raise NumericalError(f"non-finite loss at step {step} "
+                                 f"(batch {_batch_fingerprint(queries)}): {exc}") from exc
         encoder.backward_train(grads, config.learning_rate)
         trace.append(TraceRow(step, loss, loss / n))
         if checkpoint_path is not None and config.checkpoint_every > 0 \

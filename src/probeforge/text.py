@@ -25,7 +25,6 @@ from .errors import InputError, ValidationError
 
 T = TypeVar("T")
 
-_PUNCT = set(string.punctuation)
 _STRIP_CHARS = string.punctuation + string.whitespace
 
 
@@ -40,7 +39,7 @@ def match_norm(text: str) -> str:
 
 
 def is_punct_only(token: str) -> bool:
-    return bool(token) and all(ch in _PUNCT for ch in token)
+    return bool(token) and not token.strip(string.punctuation)
 
 
 def metric_tokens(text: str) -> list[str]:

@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 import shutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -154,6 +156,20 @@ def test_curate_reruns_are_byte_identical(tmp_path, curated):
     for name in ("full.jsonl", "hard.jsonl", "stats.csv"):
         assert (again / name).read_bytes() == (curated / name).read_bytes()
     assert manifest_core(again) == manifest_core(curated)
+
+
+def test_curate_drops_a_tail_without_a_word(tmp_path, capsys):
+    # ten tails, one of them punctuation alone: that line is malformed, and
+    # the query keeps the other nine answers
+    triples = tmp_path / "triples.tsv"
+    tails = [f"answer {i}" for i in range(9)] + ["--"]
+    triples.write_text("".join(f"Aspirin\tmay_treat\t{t}\n" for t in tails), encoding="utf-8")
+    out = tmp_path / "curated"
+    assert main(["curate", "--triples", str(triples), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    query, = load_dataset(out / "full.jsonl")
+    assert query.answers == tails[:9]
+    assert read_manifest(out)["config"]["malformed_triple_lines"] == 1
 
 
 def test_cache_env_supplies_out_dir(tmp_path, monkeypatch):
@@ -583,6 +599,44 @@ def test_rewire_rerun_clears_a_failed_run_s_staged_checkpoint(tmp_path, curated,
                  "--dataset", str(curated / "full.jsonl"),
                  "--entities", ENTITIES, "--strategy", "contrastive",
                  "--out", str(tmp_path / "probe")]) == 0
+
+
+def test_rerun_removes_a_failed_run_s_staged_outputs_of_other_names(tmp_path, rewired,
+                                                                   config_path, capsys,
+                                                                   monkeypatch):
+    out = tmp_path / "rerun"
+    shutil.copytree(rewired, out)
+    # a rerun fails one step after staging its step-10 checkpoint
+    with monkeypatch.context() as patch:
+        _fail_one_step_after_the_first_checkpoint(patch)
+        assert main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+                     "--config", config_path, "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert (out / "checkpoints" / "step_00010.partial").is_dir()
+    # the next rerun succeeds and stages step 20 alone
+    assert main(["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS,
+                 "--config", config_path, "--checkpoint-every", "20",
+                 "--probe-checkpoint-step", "20", "--out", str(out)]) == 0
+    assert read_manifest(out)["outputs"] == [
+        "checkpoints/step_00020", "loss_trace.csv", "rewire_config.json"]
+    assert not list(out.rglob("*.partial"))
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["step_00020"]
+
+
+def test_diverging_rewire_names_its_step_in_one_line(tmp_path, capsys):
+    # numpy warnings raise, so an overflow that escapes the step's own
+    # check fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rewire", "--encoder", DEMO_ENCODER_SPEC, "--corpus", CORPUS,
+                     "--config", str(FIXTURES / "rewire_demo.json"),
+                     "--checkpoint-every", "1", "--probe-checkpoint-step", "1",
+                     "--learning-rate", "1e300", "--out", str(tmp_path / "rewired")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"probeforge: error: non-finite loss at step 2 \(batch [0-9a-f]{12}\): "
+                        r"query_vectors contains a zero or non-finite row norm", err[0])
 
 
 def test_probe_needs_encoder_or_checkpoint(curated, capsys):

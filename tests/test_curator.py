@@ -95,6 +95,12 @@ def test_load_triples_four_fields():
     assert result.malformed == 0
 
 
+def test_load_triples_counts_a_tail_without_a_word_as_malformed():
+    result = load_triples(io.StringIO("A\trel\t--\nA\trel\t. ?\nA\trel\tB-12 .\n"))
+    assert [astuple(t) for t in result.triples] == [("A", "rel", "B-12 .")]
+    assert result.malformed == 2
+
+
 def test_load_triples_empty_stream():
     with pytest.raises(EmptyDatasetError):
         load_triples(io.StringIO(""))

@@ -255,6 +255,23 @@ def test_touched_bucket_step_matches_dense_oracle(texts, feature_dim):
     assert enc.w_in[untouched].tobytes() == before[untouched].tobytes()
 
 
+@pytest.mark.parametrize("n_texts", [127, 128, 129, 300])
+def test_sliced_encode_equals_the_whole_batch_product(n_texts):
+    # encode builds its feature rows ENCODE_SLICE texts at a time; with the
+    # demo encoder's shapes every slice's product is bit-identical to the
+    # single product over the batch's touched columns
+    enc = ReferenceEncoder(dim=64, seed=7, layers=2, feature_dim=2048)
+    rng = np.random.default_rng(n_texts)
+    words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=rng.integers(3, 9)))
+             for _ in range(400)]
+    texts = [" ".join(rng.choice(words, size=rng.integers(1, 8))) for _ in range(n_texts)]
+    phi, cols = enc._features(texts)
+    state = phi @ enc.w_in[cols]
+    for block in enc.blocks:
+        state = state + np.tanh(state @ block)
+    assert enc.encode(texts).tobytes() == state.tobytes()
+
+
 def test_training_step_changes_outputs_and_identity():
     enc = small_encoder()
     before_id = enc.identity

@@ -16,6 +16,7 @@ from probeforge.encoders import (
     ReferenceEncoder,
     TableGenerator,
     TableMLM,
+    near_equal_slices,
 )
 from probeforge.errors import (
     ConfigurationError,
@@ -228,19 +229,20 @@ def tie_heavy_retrieval(draw):
     # one coordinate of the unit query, so it is exact in any summation order
     axes = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.sampled_from([1.0, -1.0])),
                          min_size=n, max_size=n))
+    tile_width = draw(st.integers(1, 5))
     rows_per_block = draw(st.integers(1, 4))
     n_queries = draw(st.integers(1, 3 * rows_per_block + 1))
     vectors = draw(st.lists(
         st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
         min_size=n_queries, max_size=n_queries))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(n + 1, n + 5), st.integers(1, n)))
-    return axes, rows_per_block, vectors, k
+    return axes, tile_width, rows_per_block, vectors, k
 
 
 @given(tie_heavy_retrieval())
 @settings(max_examples=200, deadline=None)
 def test_blocked_topk_equals_exhaustive_oracle(case):
-    axes, rows_per_block, vectors, k = case
+    axes, tile_width, rows_per_block, vectors, k = case
     dim = len(vectors[0])
     names = tuple(f"entity {i}" for i in range(len(axes)))
     index_rows = np.zeros((len(axes), dim))
@@ -249,9 +251,11 @@ def test_blocked_topk_equals_exhaustive_oracle(case):
     encoder = TableEncoder({f"query {i}": v for i, v in enumerate(vectors)})
     index = EntityIndex(names, index_rows, encoder.identity, 1)
     queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(len(vectors))]
-    # query blocks of at most rows_per_block rows, so runs straddle them; a
-    # score row takes twice its width, for its partitioned copy
-    with mock.patch.object(probers, "BLOCK_BYTES", 16 * len(axes) * rows_per_block):
+    # entity tiles of at most tile_width entities and query blocks of a few
+    # rows, so runs of tied scores straddle both; a score takes 16 bytes,
+    # for its partitioned copy
+    with mock.patch.object(probers, "TILE_ENTITIES", tile_width), \
+            mock.patch.object(probers, "TILE_BYTES", 16 * tile_width * rows_per_block):
         predictions = contrastive_probe(encoder, index, queries, k=k)
     assert [p.query_id for p in predictions] == [q.query_id for q in queries]
     for pred, vector in zip(predictions, vectors):
@@ -262,11 +266,23 @@ def test_blocked_topk_equals_exhaustive_oracle(case):
 
 
 def test_blocks_are_near_equal_and_bounded():
-    with mock.patch.object(probers, "BLOCK_BYTES", 8 * 100 * 4):
-        blocks = probers._blocks(9, 100)
-        assert [(b.start, b.stop) for b in blocks] == [(0, 3), (3, 6), (6, 9)]
-        assert probers._blocks(0, 100) == []
-        assert [b.stop - b.start for b in probers._blocks(5, 1000)] == [1] * 5
+    assert [(b.start, b.stop) for b in near_equal_slices(9, 3)] == [(0, 3), (3, 6), (6, 9)]
+    assert [b.stop - b.start for b in near_equal_slices(10, 4)] == [3, 3, 4]
+    assert near_equal_slices(0, 3) == []
+    for n_queries in (1, 5, 33, 1000):
+        for n_entities in (1, 120, 4096, 4097, 20_000, 10**6, 10**7):
+            blocks, tiles = probers._score_tiles(n_queries, n_entities)
+            widths = [t.stop - t.start for t in tiles]
+            rows = [b.stop - b.start for b in blocks]
+            assert sum(widths) == n_entities and sum(rows) == n_queries
+            # tiles are at most TILE_ENTITIES wide, and at least half that
+            # unless the index is narrower
+            assert max(widths) <= probers.TILE_ENTITIES
+            assert min(widths) >= min(n_entities, probers.TILE_ENTITIES // 2)
+            # a tile of scores and its partitioned copy fit TILE_BYTES, and no
+            # block is a sliver of a few rows, however large the vocabulary
+            assert max(rows) * max(widths) * 16 <= probers.TILE_BYTES
+            assert min(rows) >= min(n_queries, 16)
 
 
 def test_blocking_keeps_index_and_rankings():
@@ -295,18 +311,18 @@ def test_index_rejects_non_finite_rows():
 
 
 def test_ranking_memory_stays_within_one_block():
-    # 4,000 entities and 64 queries: a score block of 16 rows, with its
-    # partitioned copy, is 1 MB, far above the query embeddings and the
-    # predictions, so the traced peak measures how many blocks are alive
+    # 64 queries against one entity tile, then against sixteen: the traced
+    # peak stays within one tile of scores and its partitioned copy, far
+    # below the 64 x n score matrix, whatever n is
     rng = np.random.default_rng(0)
-    n, dim, n_queries = 4000, 16, 64
-    vectors = rng.standard_normal((n, dim))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    dim, n_queries = 8, 64
     encoder = TableEncoder({f"query {i}": rng.standard_normal(dim) for i in range(n_queries)})
-    index = EntityIndex(tuple(f"entity {i}" for i in range(n)), vectors, encoder.identity, 1)
     queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(n_queries)]
-    block_bytes = 16 * 2 * 8 * n
-    with mock.patch.object(probers, "BLOCK_BYTES", block_bytes):
+    for n in (4_096, 65_536):
+        vectors = rng.standard_normal((n, dim))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        index = EntityIndex(tuple(f"entity {i}" for i in range(n)), vectors,
+                            encoder.identity, 1)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -314,8 +330,8 @@ def test_ranking_memory_stays_within_one_block():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert len(predictions) == n_queries
-    assert peak - start <= 1.5 * block_bytes
+        assert len(predictions) == n_queries
+        assert peak - start <= 1.25 * probers.TILE_BYTES, n
 
 
 def test_bad_k_and_empty_queries():
