@@ -21,7 +21,7 @@ from .curator import (ProbeQuery, default_templates, group_queries,
                       split_hard)
 from .encoders import (EncoderHandle, encoder_from_spec, generator_from_spec,
                        load_checkpoint, mlm_from_spec)
-from .errors import (ConfigurationError, InputError, ProbeforgeError,
+from .errors import (ConfigurationError, InputError, NumericalError, ProbeforgeError,
                      ValidationError)
 from .evaluation import (EvalReport, RescoreResult, aggregate, bin_by_answer_length,
                          expert_rescore, load_annotations, save_report,
@@ -257,13 +257,15 @@ def cmd_rewire(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # probe
 
-def _contrastive_encoder(args: argparse.Namespace) -> EncoderHandle:
+def _contrastive_encoder(args: argparse.Namespace) -> tuple[EncoderHandle, str]:
+    """The encoder to probe with, and what it was built from."""
     if args.checkpoint and args.encoder:
         args._parser.error("--encoder and --checkpoint are mutually exclusive")
     if args.checkpoint:
-        return load_checkpoint(_resolve_checkpoint(args.checkpoint))
+        ckpt_dir = _resolve_checkpoint(args.checkpoint)
+        return load_checkpoint(ckpt_dir), f"checkpoint {ckpt_dir}"
     if args.encoder:
-        return encoder_from_spec(args.encoder)
+        return encoder_from_spec(args.encoder), f"encoder {args.encoder}"
     args._parser.error("contrastive probing needs --encoder or --checkpoint")
     raise AssertionError("unreachable")
 
@@ -289,13 +291,17 @@ def _probe_in_scope(args, queries: Sequence[ProbeQuery],
 
 
 def _probe_contrastive(args, queries: Sequence[ProbeQuery]):
-    encoder = _contrastive_encoder(args)
+    encoder, source = _contrastive_encoder(args)
 
     def rank(names, group):
         index = build_entity_index(encoder, names, layer_limit=args.layer_limit)
         return contrastive_probe(encoder, index, group, args.k)
 
-    return _probe_in_scope(args, queries, rank), encoder.identity
+    try:
+        return _probe_in_scope(args, queries, rank), encoder.identity
+    except NumericalError as exc:
+        # weights that overflow, such as those of a diverged rewire
+        raise NumericalError(f"{source} cannot be probed: {exc}") from exc
 
 
 def _probe_mask_predict(args, queries: Sequence[ProbeQuery]):

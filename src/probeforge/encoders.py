@@ -58,8 +58,8 @@ class EncoderHandle(ABC):
     def encode(self, texts: list[str], layer_limit: int | None = None) -> np.ndarray:
         """Embed texts using only the first layer_limit layers.
 
-        Weights and the training cache are left alone; a backend may fill
-        internal caches keyed by text (ReferenceEncoder caches features).
+        Weights and the training cache are left alone, and nothing is kept
+        per text: memory after the call does not grow with the texts encoded.
         """
 
     @abstractmethod
@@ -125,12 +125,23 @@ def near_equal_slices(n_rows: int, most: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-class _Gathered(NamedTuple):
-    """Where a batch's trigrams sit in the feature store."""
+class _Runs(NamedTuple):
+    """Texts' trigram runs in CSR form: row r's trigram buckets and counts
+    fill [indptr[r], indptr[r + 1]), in ascending bucket order, and its norm
+    is norms[r]. The arrays may extend past the last row."""
 
-    ids: np.ndarray       # each text's row in the store
+    indptr: np.ndarray
+    buckets: np.ndarray
+    counts: np.ndarray
+    norms: np.ndarray
+
+
+class _Gathered(NamedTuple):
+    """Where a batch's trigrams sit in the runs it reads."""
+
+    ids: np.ndarray       # each text's row in the runs
     lengths: np.ndarray   # each text's number of distinct trigrams
-    at: np.ndarray        # the store position of each trigram, text by text
+    at: np.ndarray        # the run position of each trigram, text by text
     buckets: np.ndarray   # each trigram's bucket, as intp
     remap: np.ndarray     # touched bucket -> its column in the rows
     cols: np.ndarray      # the touched buckets, ascending
@@ -160,14 +171,18 @@ class ReferenceEncoder(EncoderHandle):
     blocks is exact layer chopping, the parameters of deeper blocks are
     never touched.
 
-    Each encoder keeps one append-only feature store, in CSR form, of every
-    distinct text it has featurized: a text -> row id dict, int64 row
+    Training keeps one append-only feature store, in CSR form, of every
+    distinct text forward_train has seen: a text -> row id dict, int64 row
     offsets, and per trigram its bucket in the narrowest unsigned dtype that
     holds feature_dim - 1 and its count as uint8 (widened to uint16, then
     uint32, once a text repeats a trigram more than 255, then 65,535 times),
     plus one float64 norm per text. That is 3 bytes per stored trigram for
     feature_dim <= 65,536 while no count passes 255; the normalized values
-    are rebuilt per batch.
+    are rebuilt per batch. encode neither reads nor writes the store: it
+    featurizes its call's distinct texts into runs of the same layout that
+    live for the call alone, so inference over a large vocabulary keeps
+    nothing per text. Both paths build feature rows from their runs the same
+    way, so a text's rows are bit-identical either way.
 
     The identity string embeds the constructor arguments and the number of
     SGD steps taken, so two handles compare equal exactly when their
@@ -221,21 +236,18 @@ class ReferenceEncoder(EncoderHandle):
     def max_layers(self) -> int:
         return len(self.blocks)
 
-    def _gather(self, texts: list[str]) -> _Gathered:
-        """Where the batch's trigrams sit in the feature store, and the columns
-        they fill. Texts not yet in the store are added to it first."""
-        row_of = self._row_of
-        if not all(map(row_of.__contains__, texts)):
-            self._cache_features([t for t in dict.fromkeys(texts) if t not in row_of])
+    def _gather(self, runs: _Runs, row_of: dict[str, int], texts: list[str]) -> _Gathered:
+        """Where the trigrams of texts sit in runs, text t's at row row_of[t],
+        and the columns they fill."""
         ids = np.fromiter(map(row_of.__getitem__, texts), dtype=np.intp, count=len(texts))
-        starts = self._indptr[ids]
-        lengths = self._indptr[ids + 1] - starts
-        # store position of each of the batch's trigrams: its run's start
-        # plus its offset in the run
+        starts = runs.indptr[ids]
+        lengths = runs.indptr[ids + 1] - starts
+        # run position of each of the batch's trigrams: its run's start plus
+        # its offset in the run
         at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
                                                   lengths)
         # as intp, so that each indexing below uses them without a cast
-        buckets = self._buckets[at].astype(np.intp)
+        buckets = runs.buckets[at].astype(np.intp)
         touched = np.zeros(self.feature_dim, dtype=bool)
         touched[buckets] = True
         cols = np.flatnonzero(touched)
@@ -244,11 +256,12 @@ class ReferenceEncoder(EncoderHandle):
         remap[cols] = np.arange(len(cols))
         return _Gathered(ids, lengths, at, buckets, remap, cols)
 
-    def _rows(self, batch: _Gathered, part: slice) -> np.ndarray:
+    @staticmethod
+    def _rows(runs: _Runs, batch: _Gathered, part: slice) -> np.ndarray:
         """The (len(part), len(batch.cols)) feature rows of the texts part of
-        a gathered batch: each value is its count over its text's norm.
-        Counts are small integers, so the sum of squares is exact in any
-        order and every value is bit-identical to normalizing the dense
+        a batch gathered from runs: each value is its count over its text's
+        norm. Counts are small integers, so the sum of squares is exact in
+        any order and every value is bit-identical to normalizing the dense
         count row."""
         lengths = batch.lengths[part]
         # the part's trigrams, in at and buckets
@@ -258,26 +271,34 @@ class ReferenceEncoder(EncoderHandle):
         # each trigram's flat position in rows: its text's row start plus its column
         flat = np.repeat(np.arange(len(lengths)) * len(batch.cols), lengths)
         flat += batch.remap[batch.buckets[trigrams]]
-        rows.ravel()[flat] = (self._counts[batch.at[trigrams]]
-                              / np.repeat(self._norms[batch.ids[part]], lengths))
+        rows.ravel()[flat] = (runs.counts[batch.at[trigrams]]
+                              / np.repeat(runs.norms[batch.ids[part]], lengths))
         return rows
 
     def _features(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols): unit-norm trigram counts on the buckets the batch touches.
+        """(rows, cols): unit-norm trigram counts on the buckets the batch
+        touches, read from the feature store, to which texts not yet in it
+        are added first.
 
         cols is the ascending array of buckets some text touches and rows the
         (len(texts), len(cols)) matrix of their values, so rows scattered back
         at cols is the dense (len(texts), feature_dim) batch.
         """
-        batch = self._gather(texts)
-        return self._rows(batch, slice(0, len(texts))), batch.cols
+        row_of = self._row_of
+        if not all(map(row_of.__contains__, texts)):
+            new = [t for t in dict.fromkeys(texts) if t not in row_of]
+            self._append(new, self._featurize(new))
+        store = _Runs(self._indptr, self._buckets, self._counts, self._norms)
+        batch = self._gather(store, row_of, texts)
+        return self._rows(store, batch, slice(0, len(texts))), batch.cols
 
-    def _cache_features(self, texts: list[str]) -> None:
-        """Append the trigram runs of texts, none of them stored yet, to the
-        feature store. Nothing is stored when a text fails validation."""
+    def _featurize(self, texts: list[str]) -> _Runs:
+        """The trigram runs of texts, row i for texts[i]. Only the encoder's
+        trigram -> bucket table changes."""
         fd = self.feature_dim
         padded = ["\x02" + text.lower() + "\x03" for text in texts]
-        ends = np.cumsum([len(p) for p in padded])
+        # int64 even for no texts, for which np.cumsum would give float64
+        ends = np.cumsum([len(p) for p in padded], dtype=np.int64)
         try:
             points = np.frombuffer("".join(padded).encode("utf-32-le"), dtype="<u4")
         except UnicodeEncodeError as exc:
@@ -299,23 +320,27 @@ class ReferenceEncoder(EncoderHandle):
         keys, counts = np.unique(keys, return_counts=True)
         rows, buckets = np.divmod(keys, fd)
         # every text yields at least one trigram, so each row owns a run of keys
-        bounds = np.searchsorted(rows, np.arange(len(texts) + 1))
+        indptr = np.searchsorted(rows, np.arange(len(texts) + 1))
         floats = counts.astype(float)
-        norms = np.sqrt(np.add.reduceat(floats * floats, bounds[:-1]))
+        norms = np.sqrt(np.add.reduceat(floats * floats, indptr[:-1]))
+        return _Runs(indptr, buckets, counts, norms)
 
+    def _append(self, texts: list[str], runs: _Runs) -> None:
+        """Append runs, the trigram runs of texts, none of them stored yet,
+        to the feature store."""
         n = len(self._row_of)
         m = int(self._indptr[n])
-        n_new, m_new = n + len(texts), m + len(keys)
+        n_new, m_new = n + len(texts), m + int(runs.indptr[-1])
         self._indptr = _reserved(self._indptr, n + 1, n_new + 1)
-        self._indptr[n + 1:n_new + 1] = m + bounds[1:]
+        self._indptr[n + 1:n_new + 1] = m + runs.indptr[1:]
         self._norms = _reserved(self._norms, n, n_new)
-        self._norms[n:n_new] = norms
+        self._norms[n:n_new] = runs.norms
         self._buckets = _reserved(self._buckets, m, m_new)
-        self._buckets[m:m_new] = buckets
+        self._buckets[m:m_new] = runs.buckets
         # counts widen once a text repeats a trigram more often than they hold
         self._counts = _reserved(self._counts, m, m_new, np.promote_types(
-            self._counts.dtype, np.min_scalar_type(counts.max())))
-        self._counts[m:m_new] = counts
+            self._counts.dtype, np.min_scalar_type(runs.counts.max())))
+        self._counts[m:m_new] = runs.counts
         # the rows count as stored only now, so a failed append stores nothing
         self._row_of.update(zip(texts, range(n, n_new)))
 
@@ -357,11 +382,13 @@ class ReferenceEncoder(EncoderHandle):
         batch touches, so only one slice of them is alive at a time."""
         limit = self.resolve_layer_limit(layer_limit)
         texts = _validate_texts(texts)
-        batch = self._gather(texts)
+        row_of = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+        runs = self._featurize(list(row_of))
+        batch = self._gather(runs, row_of, texts)
         w_cols = self.w_in[batch.cols]
         state = np.empty((len(texts), self.dim))
         for part in near_equal_slices(len(texts), ENCODE_SLICE):
-            state[part] = self._rows(batch, part) @ w_cols
+            state[part] = self._rows(runs, batch, part) @ w_cols
         return self._layers(state, limit)[0][-1]
 
     def forward_train(self, texts, layer_limit=None):

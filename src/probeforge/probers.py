@@ -10,15 +10,18 @@ caller.
 Retrieval is exact: every query is scored against every entity, and the
 top k come out ordered by descending score with ties going to the lower
 entity index. Names and queries are encoded in groups of at most
-BLOCK_BYTES of feature_dim-wide float64 rows, and a ReferenceEncoder builds
-a group's dense feature rows one slice of at most ENCODE_SLICE texts at a
-time. Queries are then scored in tiles: near-equal runs of at most
-TILE_ENTITIES entities, against as many queries as keep a tile of scores
-and the copy k-selection makes of it within TILE_BYTES. Each query keeps a
-running exact top k across the entity tiles, and one tile is alive at a
-time. So retrieval's working memory is one encode slice, or one score tile
-and its partition copy, on top of the index, the query embeddings and the
-top-k lists, whatever the vocabulary size.
+BLOCK_BYTES of feature_dim-wide float64 rows, and a ReferenceEncoder
+featurizes a group's distinct texts into trigram runs that live for the
+call alone (its feature store holds training texts only, so encoding keeps
+nothing per text) and builds the group's dense feature rows one slice of at
+most ENCODE_SLICE texts at a time. Queries are then scored in tiles:
+near-equal runs of at most TILE_ENTITIES entities, against as many queries
+as keep a tile of scores and the copy k-selection makes of it within
+TILE_BYTES. Each query keeps a running exact top k across the entity tiles,
+and one tile is alive at a time. So retrieval's working memory is one encode
+group's runs and slice, or one score tile and its partition copy, on top of
+the index, the query embeddings and the top-k lists, whatever the vocabulary
+size.
 """
 
 from __future__ import annotations
@@ -66,8 +69,11 @@ def _encode_units(encoder: EncoderHandle, texts: list[str], layer_limit: int) ->
     vectors = np.empty((len(texts), encoder.embedding_dim))
     group = max(1, BLOCK_BYTES // (8 * _encode_width(encoder)))
     for part in near_equal_slices(len(texts), group):
-        vectors[part], _ = unit_rows(encoder.encode(texts[part], layer_limit=layer_limit),
-                                     "encoded texts")
+        # weights that overflow leave a non-finite row, which unit_rows
+        # reports in one error, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors[part], _ = unit_rows(encoder.encode(texts[part], layer_limit=layer_limit),
+                                         "encoded texts")
     return vectors
 
 

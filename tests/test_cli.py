@@ -639,6 +639,29 @@ def test_diverging_rewire_names_its_step_in_one_line(tmp_path, capsys):
                         r"query_vectors contains a zero or non-finite row norm", err[0])
 
 
+def test_probe_of_a_diverged_checkpoint_names_it_in_one_line(tmp_path, curated, capsys):
+    # step 1's loss is taken before its update, so the run ends with weights
+    # of about 1e300 that are finite but overflow any encode
+    run = tmp_path / "rewired"
+    assert main(["rewire", "--encoder", DEMO_ENCODER_SPEC, "--corpus", CORPUS,
+                 "--config", str(FIXTURES / "rewire_demo.json"), "--steps", "1",
+                 "--checkpoint-every", "1", "--probe-checkpoint-step", "1",
+                 "--learning-rate", "1e300", "--out", str(run)]) == 0
+    capsys.readouterr()
+    # numpy warnings raise, so an overflow warning fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["probe", "--checkpoint", str(run),
+                     "--dataset", str(curated / "full.jsonl"),
+                     "--entities", ENTITIES, "--strategy", "contrastive",
+                     "--out", str(tmp_path / "probe")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"probeforge: error: checkpoint {run / 'checkpoints' / 'step_00001'} "
+                   "cannot be probed: encoded texts contains a zero or non-finite row norm"]
+    assert not (tmp_path / "probe").exists()
+
+
 def test_probe_needs_encoder_or_checkpoint(curated, capsys):
     code = main(["probe", "--dataset", str(curated / "full.jsonl"),
                  "--entities", ENTITIES, "--strategy", "contrastive",

@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import shutil
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -165,8 +166,8 @@ def test_feature_store_takes_three_bytes_per_trigram(feature_dim):
     enc = ReferenceEncoder(dim=16, seed=0, layers=1, feature_dim=feature_dim)
     texts = [f"Entecavir may prevent hepatitis B reactivation in carrier {i} [MASK] ."
              for i in range(40)]
-    enc.encode(texts[:25])
-    enc.encode(texts)
+    enc._features(texts[:25])
+    enc._features(texts)
     n = len(enc._row_of)
     trigrams = int(enc._indptr[n])
     assert n == len(texts) and trigrams > 40 * n
@@ -198,12 +199,57 @@ def test_widened_store_is_bit_identical_to_dense_rows(texts, feature_dim, dtypes
 def test_failed_batch_leaves_the_feature_store_as_it_was():
     spec = dict(dim=8, seed=2, layers=2, feature_dim=256)
     enc = ReferenceEncoder(**spec)
-    enc.encode(["Hepatitis B", "listen gene"])
+    enc.forward_train(["Hepatitis B", "listen gene"])
     valid = ["Entecavir might treat [MASK] .", "Hepatitis B", "silent gene"]
     with pytest.raises(ValidationError, match="not valid Unicode"):
-        enc.encode(valid + ["lone \ud800 surrogate"])
-    fresh = ReferenceEncoder(**spec).encode(valid)
-    assert enc.encode(valid).tobytes() == fresh.tobytes()
+        enc.forward_train(valid + ["lone \ud800 surrogate"])
+    assert list(enc._row_of) == ["Hepatitis B", "listen gene"]
+    fresh = ReferenceEncoder(**spec).forward_train(valid)
+    assert enc.forward_train(valid).tobytes() == fresh.tobytes()
+
+
+def store_arrays(enc):
+    return enc._indptr, enc._buckets, enc._counts, enc._norms
+
+
+def test_encode_leaves_the_feature_store_untouched():
+    enc = small_encoder()
+    trained = enc.forward_train(TEXTS[:2])
+    row_of, rows = enc._row_of, dict(enc._row_of)
+    arrays = store_arrays(enc)
+    contents = [a.tobytes() for a in arrays]
+    # stored texts, new texts and repeats
+    encoded = enc.encode(TEXTS[:2])
+    enc.encode(TEXTS + TEXTS[::-1])
+    assert enc._row_of is row_of and row_of == rows
+    assert all(a is b for a, b in zip(store_arrays(enc), arrays))
+    assert [a.tobytes() for a in arrays] == contents
+    # the call's own runs give the rows the store gives
+    assert encoded.tobytes() == trained.tobytes()
+
+
+def syllable_names(parity):
+    """The 1,024 eleven-syllable names over "ka" and "lo" whose count of
+    "lo" has the given parity; either set holds every trigram of the other."""
+    return ["".join("lo" if i >> b & 1 else "ka" for b in range(11))
+            for i in range(2048) if i.bit_count() % 2 == parity]
+
+
+def test_encode_keeps_no_memory_per_text():
+    enc = ReferenceEncoder(dim=16, seed=0, layers=1, feature_dim=256)
+    first, second = syllable_names(0), syllable_names(1)
+    assert not set(first) & set(second)
+    tracemalloc.start()
+    try:
+        enc.encode(first)
+        after_first = tracemalloc.get_traced_memory()[0]
+        enc.encode(second)
+        after_second = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # storing the second list's texts would keep about 90 KiB; numpy's cache
+    # of small allocations may keep a few hundred bytes
+    assert after_second - after_first < 4096
 
 
 def dense_forward(enc, texts):
