@@ -46,12 +46,22 @@ def _check_k_values(k_values) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # hits
 
+def _first_gold_rank(prediction: RankedPrediction, answers: Sequence[str],
+                     depth: int) -> int | None:
+    """The 1-based rank of the first of the top depth candidates whose
+    normalized form equals a normalized gold answer, or None."""
+    gold = {match_norm(a) for a in answers}
+    for rank, (candidate, _) in enumerate(prediction.candidates[:depth], 1):
+        if match_norm(candidate) in gold:
+            return rank
+    return None
+
+
 def hit_at_k(prediction: RankedPrediction, answers: Sequence[str], k: int) -> int:
     """1 iff a normalized gold answer equals a normalized top-k candidate."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    gold = {match_norm(a) for a in answers}
-    return int(any(match_norm(c) in gold for c, _ in prediction.candidates[:k]))
+    return int(_first_gold_rank(prediction, answers, k) is not None)
 
 
 class QueryHits(NamedTuple):
@@ -63,7 +73,9 @@ class QueryHits(NamedTuple):
 def score_predictions(predictions: Sequence[RankedPrediction],
                       queries: Sequence[ProbeQuery],
                       k_values=DEFAULT_K_VALUES) -> list[QueryHits]:
-    """Score each query; one without a prediction counts as all misses."""
+    """Score each query; one without a prediction counts as all misses.
+    Each query's answers and candidates are normalized once: a query hits
+    at k when its first gold match ranks k or better."""
     ks = _check_k_values(k_values)
     by_id: dict[str, RankedPrediction] = {}
     for pred in predictions:
@@ -77,7 +89,8 @@ def score_predictions(predictions: Sequence[RankedPrediction],
     scored = []
     for query in queries:
         pred = by_id.get(query.query_id)
-        hits = {k: hit_at_k(pred, query.answers, k) if pred else 0 for k in ks}
+        rank = _first_gold_rank(pred, query.answers, ks[-1]) if pred else None
+        hits = {k: int(rank is not None and rank <= k) for k in ks}
         scored.append(QueryHits(query.query_id, query.relation_id, hits))
     return scored
 

@@ -1,7 +1,7 @@
 """Probing strategies that turn frozen models into ranked answer lists.
 
-Four ways to answer a cloze query: nearest-neighbor retrieval against a
-pre-encoded entity index, multi-mask prediction (three fill orders plus an
+Four ways to answer a cloze query: nearest-neighbor retrieval against the
+entity vocabulary, multi-mask prediction (three fill orders plus an
 optional refinement sweep), mask-average candidate ranking, and free-form
 generation. Retrieval searches the full entity vocabulary by default;
 restricting candidates to one relation inflates scores and is left to the
@@ -9,19 +9,20 @@ caller.
 
 Retrieval is exact: every query is scored against every entity, and the
 top k come out ordered by descending score with ties going to the lower
-entity index. Names and queries are encoded in groups of at most
-BLOCK_BYTES of feature_dim-wide float64 rows, and a ReferenceEncoder
-featurizes a group's distinct texts into trigram runs that live for the
-call alone (its feature store holds training texts only, so encoding keeps
-nothing per text) and builds the group's dense feature rows one slice of at
-most ENCODE_SLICE texts at a time. Queries are then scored in tiles:
-near-equal runs of at most TILE_ENTITIES entities, against as many queries
-as keep a tile of scores and the copy k-selection makes of it within
-TILE_BYTES. Each query keeps a running exact top k across the entity tiles,
-and one tile is alive at a time. So retrieval's working memory is one encode
-group's runs and slice, or one score tile and its partition copy, on top of
-the index, the query embeddings and the top-k lists, whatever the vocabulary
-size.
+entity index. The entity index is the frozen vocabulary alone; the probe
+encodes it. Queries are encoded first, then the entities one tile at a
+time: near-equal runs of at most TILE_ENTITIES names, each encoded just
+before it is scored and dropped before the next. Names and queries are
+encoded in groups of at most BLOCK_BYTES of feature_dim-wide float64 rows,
+and a ReferenceEncoder featurizes a group's distinct texts into trigram runs
+that live for the call alone (its feature store holds training texts only,
+so encoding keeps nothing per text) and builds the group's dense feature
+rows one slice of at most ENCODE_SLICE texts at a time. Each tile is scored
+against as many queries as keep a tile of scores and the copy k-selection
+makes of it within TILE_BYTES, and each query keeps a running exact top k
+across the tiles. So retrieval's working memory is one tile of entity rows,
+one encode group's runs and slice or one score tile and its partition copy,
+the query embeddings and the top-k lists, whatever the vocabulary size.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
 )
 from .text import collapse_norm, read_records, write_jsonl
 
-UNIT_NORM_TOL = 1e-6
 DEFAULT_NUM_MASKS = 5
 MASK_STRATEGIES = ("independent", "order", "confidence")
 # most bytes of feature_dim-wide float64 rows one encode group may span; a
@@ -66,12 +66,16 @@ def _encode_width(encoder: EncoderHandle) -> int:
 
 def _encode_units(encoder: EncoderHandle, texts: list[str], layer_limit: int) -> np.ndarray:
     """Unit-norm embeddings of texts, encoded one group at a time."""
-    vectors = np.empty((len(texts), encoder.embedding_dim))
     group = max(1, BLOCK_BYTES // (8 * _encode_width(encoder)))
-    for part in near_equal_slices(len(texts), group):
-        # weights that overflow leave a non-finite row, which unit_rows
-        # reports in one error, without numpy's warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+    parts = near_equal_slices(len(texts), group)
+    # weights that overflow leave a non-finite row, which unit_rows reports
+    # in one error, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(parts) == 1:
+            # one group needs no array to gather the groups in
+            return unit_rows(encoder.encode(texts, layer_limit=layer_limit), "encoded texts")[0]
+        vectors = np.empty((len(texts), encoder.embedding_dim))
+        for part in parts:
             vectors[part], _ = unit_rows(encoder.encode(texts[part], layer_limit=layer_limit),
                                          "encoded texts")
     return vectors
@@ -104,10 +108,12 @@ class RankedPrediction:
 
 @dataclass(frozen=True)
 class EntityIndex:
-    """Frozen entity vocabulary with one unit-norm row per name."""
+    """Frozen entity vocabulary, with the identity of the encoder state and
+    the layer limit it is probed at. It holds no embeddings: contrastive_probe
+    encodes the names one tile at a time, so the index costs one reference
+    per name, not one row, and each probe of it encodes the names anew."""
 
     entity_names: tuple[str, ...]
-    vectors: np.ndarray
     encoder_identity: str
     layer_limit: int
 
@@ -115,15 +121,6 @@ class EntityIndex:
         object.__setattr__(self, "entity_names", tuple(self.entity_names))
         if not self.entity_names:
             raise ValidationError("entity index has no entities")
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.entity_names):
-            raise ValidationError(
-                f"expected {len(self.entity_names)} vector rows, got shape {self.vectors.shape}"
-            )
-        # row by row, with no squared copy of the whole index; a NaN or inf
-        # row has a NaN or inf norm and fails the check
-        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
-        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
-            raise ValidationError("entity index rows must have unit norm")
         seen: set[str] = set()
         dups = []
         for name in self.entity_names:
@@ -133,7 +130,6 @@ class EntityIndex:
             seen.add(key)
         if dups:
             raise InputError("duplicate entity names after normalization: " + ", ".join(dups))
-        self.vectors.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.entity_names)
@@ -150,12 +146,13 @@ def load_entities(path) -> list[str]:
 
 def build_entity_index(encoder: EncoderHandle, entity_names: Sequence[str],
                        layer_limit: int | None = None) -> EntityIndex:
-    names = list(entity_names)
+    """The vocabulary entity_names, checked and frozen for probing with
+    encoder at layer_limit (default: every layer). Nothing is encoded here;
+    contrastive_probe encodes the names, one tile at a time."""
+    names = tuple(entity_names)
     if not names:
         raise InputError("entity vocabulary is empty")
-    limit = encoder.resolve_layer_limit(layer_limit)
-    return EntityIndex(tuple(names), _encode_units(encoder, names, limit),
-                       encoder.identity, limit)
+    return EntityIndex(names, encoder.identity, encoder.resolve_layer_limit(layer_limit))
 
 
 def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
@@ -166,15 +163,20 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     Each prediction holds the min(k, len(index)) entities with the highest
     scores, ordered by descending score; equal scores keep index order, so
     the result equals sorting every entity by (-score, entity index).
-    Queries are encoded, then scored a tile at a time: a tile holds the
-    scores of a block of queries against at most TILE_ENTITIES entities,
-    and it and the copy np.partition makes of it hold at most TILE_BYTES.
-    So memory is bounded by one encode slice, or one tile and its copy, on
-    top of the index, the query embeddings and the top-k lists, whatever
-    the vocabulary size. Each query keeps a running top k across the
-    tiles, taken in index order: k-selection in a tile sets each row's
-    floor, and only the scores at or above the floor, the k-th best so far,
-    are merged by (-score, entity index) into the running lists.
+    Queries are encoded first. Then, for each tile of at most TILE_ENTITIES
+    entities, in index order, the tile's names are encoded and scored
+    against every block of queries: a block holds as many queries as keep
+    their scores against the tile, and the copy np.partition makes of
+    them, within TILE_BYTES. So memory is bounded by one tile of entity
+    rows and one encode group, or one score tile and its copy, on top of
+    the query embeddings and the top-k lists, whatever the vocabulary size.
+    Each query keeps a running top k across the tiles: k-selection in a
+    tile sets each row's floor, and only the scores at or above the floor,
+    the k-th best so far, are merged by (-score, entity index) into the
+    running lists.
+
+    No entity row outlives the call, so a caller that probes one index
+    with several query lists pays for encoding the vocabulary on each call.
     """
     if encoder.identity != index.encoder_identity:
         raise ConfigurationError(
@@ -187,9 +189,16 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     encoded = _encode_units(encoder, [q.query_text for q in queries], index.layer_limit)
     blocks, tiles = _score_tiles(len(queries), len(index))
     names = index.entity_names
+    tops = [_RunningTop.empty(block.stop - block.start) for block in blocks]
+    for tile in tiles:
+        entities = _encode_units(encoder, list(names[tile]), index.layer_limit)
+        for b, block in enumerate(blocks):
+            tops[b] = _merge_tile(tops[b], encoded[block] @ entities.T, tile.start, top)
+        # dropped before the next tile is encoded, so one tile is alive at a time
+        del entities
     predictions = []
-    for block in blocks:
-        ids, scores = _top_entities(encoded[block], index.vectors, tiles, top)
+    for block, running in zip(blocks, tops):
+        ids, scores = running.ids.reshape(-1, top), running.scores.reshape(-1, top)
         predictions += [
             RankedPrediction(query.query_id, tuple(zip(map(names.__getitem__, row_ids),
                                                        row_scores)), "contrastive")
@@ -209,41 +218,52 @@ def _score_tiles(n_queries: int, n_entities: int) -> tuple[list[slice], list[sli
     return near_equal_slices(n_queries, TILE_BYTES // (16 * widest)), tiles
 
 
-def _top_entities(vectors: np.ndarray, entities: np.ndarray, tiles: list[slice],
-                  top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ids and the scores, each (len(vectors), top), of every row's top
-    entities by (-score, entity index), scored one tile of entities at a
-    time; the tiles cover the entities in ascending order."""
-    n_rows = len(vectors)
-    rows = ids = np.zeros(0, dtype=np.intp)
-    scores = np.zeros(0)
-    # each row's worst kept score once it holds top entities; an entity
-    # scoring less can never enter the row's top
+class _RunningTop(NamedTuple):
+    """A block's top entities so far, one entry per (row, entity) kept,
+    sorted by row, then by (-score, entity index); floor is each row's
+    worst kept score once it holds top entities, and -inf before."""
+
+    rows: np.ndarray
+    ids: np.ndarray
+    scores: np.ndarray
+    floor: np.ndarray
+
+    @classmethod
+    def empty(cls, n_rows: int) -> "_RunningTop":
+        nothing = np.zeros(0, dtype=np.intp)
+        return cls(nothing, nothing, np.zeros(0), np.full(n_rows, -np.inf))
+
+
+def _merge_tile(running: _RunningTop, sims: np.ndarray, start: int,
+                top: int) -> _RunningTop:
+    """running with the scores sims of its rows against one tile of
+    entities, the first of them entity start, merged in. Tiles must come in
+    ascending order, so that equal scores keep index order."""
+    rows, ids, scores, floor = running
+    n_rows = len(floor)
+    if len(rows) < n_rows * top:
+        # a row still short of top entities takes the tile's best ones;
+        # their floor is found in a copy of the tile
+        cut = sims.shape[1] - min(top, sims.shape[1])
+        np.maximum(floor, np.partition(sims, cut, axis=1)[:, cut], out=floor)
+    # an entity scoring below its row's floor can never enter the row's top;
+    # flat positions, as np.nonzero on a 2-d mask is many times slower
+    passed = np.flatnonzero(sims >= floor[:, None])
+    new_rows, cols = np.divmod(passed, sims.shape[1])
+    rows = np.concatenate([rows, new_rows])
+    ids = np.concatenate([ids, cols + start])
+    scores = np.concatenate([scores, sims.ravel()[passed]])
+    # sorted by row, then descending score; equal scores keep index order
+    order = np.lexsort((ids, -scores, rows))
+    rows, ids, scores = rows[order], ids[order], scores[order]
+    # each entry's rank in its row: its position less its row's first
+    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < top
+    rows, ids, scores = rows[keep], ids[keep], scores[keep]
+    counts = np.bincount(rows, minlength=n_rows)
+    full = counts == top
     floor = np.full(n_rows, -np.inf)
-    for tile in tiles:
-        sims = vectors @ entities[tile].T
-        if len(rows) < n_rows * top:
-            # a row still short of top entities takes the tile's best ones;
-            # their floor is found in a copy of the tile
-            cut = sims.shape[1] - min(top, sims.shape[1])
-            np.maximum(floor, np.partition(sims, cut, axis=1)[:, cut], out=floor)
-        # flat positions, as np.nonzero on a 2-d mask is many times slower
-        passed = np.flatnonzero(sims >= floor[:, None])
-        new_rows, cols = np.divmod(passed, sims.shape[1])
-        rows = np.concatenate([rows, new_rows])
-        ids = np.concatenate([ids, cols + tile.start])
-        scores = np.concatenate([scores, sims.ravel()[passed]])
-        # sorted by row, then descending score; equal scores keep index order
-        order = np.lexsort((ids, -scores, rows))
-        rows, ids, scores = rows[order], ids[order], scores[order]
-        # each entry's rank in its row: its position less its row's first
-        keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < top
-        rows, ids, scores = rows[keep], ids[keep], scores[keep]
-        counts = np.bincount(rows, minlength=n_rows)
-        full = counts == top
-        floor = np.full(n_rows, -np.inf)
-        floor[full] = scores[np.cumsum(counts)[full] - 1]
-    return ids.reshape(n_rows, top), scores.reshape(n_rows, top)
+    floor[full] = scores[np.cumsum(counts)[full] - 1]
+    return _RunningTop(rows, ids, scores, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,11 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
     the config; resuming from a checkpoint with start_step = s reproduces
     the uninterrupted run exactly. The final short batch of an epoch is
     dropped. Steps are 1-based in the trace and in checkpoint names.
+
+    A step's loss is taken before its update, so the last step's batch is
+    encoded once more after it: weights that its update left finite but
+    overflowing raise NumericalError naming that step, as a later step's
+    loss would.
     """
     if len(pairs) < config.batch_size:
         raise InputError(
@@ -281,12 +286,13 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         offset = ((step - 1) % batches_per_epoch) * config.batch_size
         batch = perm[offset:offset + config.batch_size].tolist()
         queries = [all_queries[i] for i in batch]
+        texts = queries + [all_answers[i] for i in batch]
         n = len(batch)
         try:
             # a diverged encoder overflows here; the error below reports it
             # in one line, without numpy's warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                outputs = encoder.forward_train(queries + [all_answers[i] for i in batch])
+                outputs = encoder.forward_train(texts)
                 loss, grads = infonce_loss_and_grads(outputs[:n], outputs[n:],
                                                      config.temperature)
             if not math.isfinite(loss):
@@ -299,4 +305,11 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         if checkpoint_path is not None and config.checkpoint_every > 0 \
                 and step % config.checkpoint_every == 0:
             save_checkpoint(encoder, checkpoint_path(f"checkpoints/step_{step:05d}"))
+    if trace:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                unit_rows(encoder.encode(texts), "the batch encoded after its update")
+        except NumericalError as exc:
+            raise NumericalError(f"diverged at step {step} "
+                                 f"(batch {_batch_fingerprint(queries)}): {exc}") from exc
     return trace

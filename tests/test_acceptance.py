@@ -18,7 +18,8 @@ from probeforge.cli import main
 from probeforge.curator import (ProbeQuery, avg_match, default_templates,
                                 group_queries, load_triples, rouge_l,
                                 split_hard)
-from probeforge.encoders import ReferenceEncoder, TableMLM, encoder_from_spec, load_checkpoint
+from probeforge.encoders import (ReferenceEncoder, TableMLM, encoder_from_spec, load_checkpoint,
+                                 unit_rows)
 from probeforge.evaluation import (QueryHits, aggregate, expert_rescore,
                                    hit_at_k)
 from probeforge.probers import (RankedPrediction, build_entity_index,
@@ -176,7 +177,8 @@ def test_criterion_04_retrieval_matches_exhaustive_ranking():
     encoded = encoder.encode([q.query_text for q in queries],
                              layer_limit=index.layer_limit)
     unit = encoded / np.linalg.norm(encoded, axis=1, keepdims=True)
-    sims = unit @ index.vectors.T
+    entities, _ = unit_rows(encoder.encode(names, layer_limit=index.layer_limit), "names")
+    sims = unit @ entities.T
     for i, pred in enumerate(predictions):
         order = sorted(range(len(names)), key=lambda j: (-sims[i, j], j))[:10]
         expected = tuple((names[j], float(sims[i, j])) for j in order)

@@ -13,7 +13,8 @@ import probeforge
 from probeforge import cli
 from probeforge.cli import main
 from probeforge.curator import load_dataset
-from probeforge.encoders import ReferenceEncoder, encoder_from_spec
+from probeforge.encoders import (ReferenceEncoder, encoder_from_spec, load_checkpoint,
+                                 save_checkpoint)
 from probeforge.errors import InputError, NumericalError
 from probeforge.evaluation import (ExpertAnnotation, aggregate, load_report,
                                    save_annotations, score_predictions,
@@ -639,14 +640,36 @@ def test_diverging_rewire_names_its_step_in_one_line(tmp_path, capsys):
                         r"query_vectors contains a zero or non-finite row norm", err[0])
 
 
+def test_rewire_that_diverges_in_its_last_update_fails_in_one_line(tmp_path, capsys):
+    # step 1's loss is taken before its update, so only the batch encoded
+    # after it meets weights of about 1e300, finite but overflowing any encode
+    run = tmp_path / "rewired"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rewire", "--encoder", DEMO_ENCODER_SPEC, "--corpus", CORPUS,
+                     "--config", str(FIXTURES / "rewire_demo.json"), "--steps", "1",
+                     "--checkpoint-every", "1", "--probe-checkpoint-step", "1",
+                     "--learning-rate", "1e300", "--out", str(run)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"probeforge: error: diverged at step 1 \(batch [0-9a-f]{12}\): "
+                        r"the batch encoded after its update contains a zero or non-finite "
+                        r"row norm", err[0])
+    assert not (run / "manifest.json").exists()
+
+
 def test_probe_of_a_diverged_checkpoint_names_it_in_one_line(tmp_path, curated, capsys):
-    # step 1's loss is taken before its update, so the run ends with weights
-    # of about 1e300 that are finite but overflow any encode
+    # weights of about 1e300 are finite but overflow any encode
     run = tmp_path / "rewired"
     assert main(["rewire", "--encoder", DEMO_ENCODER_SPEC, "--corpus", CORPUS,
                  "--config", str(FIXTURES / "rewire_demo.json"), "--steps", "1",
                  "--checkpoint-every", "1", "--probe-checkpoint-step", "1",
-                 "--learning-rate", "1e300", "--out", str(run)]) == 0
+                 "--out", str(run)]) == 0
+    step_dir = run / "checkpoints" / "step_00001"
+    encoder = load_checkpoint(step_dir)
+    encoder.w_in *= 1e300
+    save_checkpoint(encoder, step_dir)
     capsys.readouterr()
     # numpy warnings raise, so an overflow warning fails the test
     with warnings.catch_warnings():

@@ -85,6 +85,19 @@ def test_hit_is_monotone_in_k(names, gold):
     assert hits == sorted(hits)
 
 
+@given(st.lists(st.sampled_from(["a", "B.", "c", "D", "e"]), max_size=5, unique=True),
+       st.lists(st.sampled_from(["b", "d", "E", "f"]), min_size=1, max_size=2, unique=True),
+       st.sets(st.integers(1, 6), min_size=1))
+def test_scored_hits_equal_hit_at_k(names, answers, k_values):
+    # score_predictions ranks the first gold match once; hit_at_k per k is
+    # the reference
+    ks = sorted(k_values)
+    query = make_query("q", "rel", answers)
+    pred = make_prediction("q", names)
+    scored, = score_predictions([pred], [query], k_values=ks)
+    assert scored.hits == {k: hit_at_k(pred, answers, k) for k in ks}
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 

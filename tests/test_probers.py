@@ -55,17 +55,22 @@ SMALL_VOCAB = ["Aspirin", "Ibuprofen", "Morphine"]
 # ---------------------------------------------------------------------------
 # entity index
 
-def test_build_index_has_unit_rows():
-    index = build_entity_index(make_encoder(), SMALL_VOCAB)
+def test_build_index_encodes_nothing():
+    # the probe encodes the names, one tile at a time
+    encoder = make_encoder()
+    with mock.patch.object(encoder, "encode", side_effect=AssertionError("encoded")):
+        index = build_entity_index(encoder, SMALL_VOCAB)
     assert len(index) == 3
-    norms = np.linalg.norm(index.vectors, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
+    assert index.entity_names == tuple(SMALL_VOCAB)
+    assert index.layer_limit == encoder.max_layers
 
 
 def test_rebuild_is_byte_identical():
+    queries = [make_query("pain relief"), make_query("fever [MASK] .", qid="q-1")]
     first = build_entity_index(make_encoder(), SMALL_VOCAB)
     second = build_entity_index(make_encoder(), SMALL_VOCAB)
-    assert np.array_equal(first.vectors, second.vectors)
+    assert (contrastive_probe(make_encoder(), first, queries, k=3)
+            == contrastive_probe(make_encoder(), second, queries, k=3))
     assert first.encoder_identity == second.encoder_identity
 
 
@@ -80,28 +85,26 @@ def test_duplicate_names_are_listed():
 
 
 def test_index_rejects_duplicate_names():
-    vectors = np.eye(3)
     with pytest.raises(InputError, match="ASPIRIN, aspirin"):
-        EntityIndex(("Aspirin", "ASPIRIN", "aspirin"), vectors, "enc", 1)
-
-
-def test_index_vectors_are_frozen():
-    index = build_entity_index(make_encoder(), SMALL_VOCAB)
-    with pytest.raises(ValueError):
-        index.vectors[0, 0] = 0.5
-
-
-def test_index_rejects_non_unit_rows():
-    with pytest.raises(ValidationError, match="unit norm"):
-        EntityIndex(("a", "b"), np.ones((2, 4)), "enc", 2)
+        EntityIndex(("Aspirin", "ASPIRIN", "aspirin"), "enc", 1)
 
 
 @pytest.mark.parametrize("weight", [0.0, np.nan], ids=["zero", "nan"])
 def test_degenerate_embedding_is_numerical_error(weight):
     encoder = make_encoder()
     encoder.w_in[:] = weight
+    index = build_entity_index(encoder, SMALL_VOCAB)
     with pytest.raises(NumericalError, match="zero or non-finite"):
-        build_entity_index(encoder, SMALL_VOCAB)
+        contrastive_probe(encoder, index, [make_query("pain relief")], k=1)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+def test_degenerate_entity_row_fails_the_probe(bad):
+    # every entity row the probe scores passes through unit_rows
+    encoder = TableEncoder({"query": [1.0, 0.0], "a": [1.0, 0.0], "b": [bad, 0.0]})
+    index = build_entity_index(encoder, ["a", "b"])
+    with pytest.raises(NumericalError, match="zero or non-finite"):
+        contrastive_probe(encoder, index, [make_query("query")], k=1)
 
 
 def test_load_entities_skips_blanks(tmp_path):
@@ -148,7 +151,9 @@ def test_retrieval_matches_exhaustive_sort():
     predictions = contrastive_probe(encoder, index, queries, k=10)
     encoded = encoder.encode([q.query_text for q in queries])
     encoded = encoded / np.linalg.norm(encoded, axis=1, keepdims=True)
-    sims = encoded @ index.vectors.T
+    entities = encoder.encode(names)
+    entities = entities / np.linalg.norm(entities, axis=1, keepdims=True)
+    sims = encoded @ entities.T
     for row, pred in enumerate(predictions):
         order = sorted(range(len(names)), key=lambda j: (-sims[row, j], j))
         expected = [names[j] for j in order[:10]]
@@ -156,11 +161,9 @@ def test_retrieval_matches_exhaustive_sort():
 
 
 def test_exact_ties_break_by_entity_position():
-    encoder = make_encoder()
-    vec = encoder.encode(["shared vector text"])
-    vec = vec / np.linalg.norm(vec)
-    index = EntityIndex(("zeta term", "alpha term"), np.vstack([vec, vec]),
-                        encoder.identity, encoder.max_layers)
+    encoder = TableEncoder({"zeta term": [0.6, 0.8], "alpha term": [0.6, 0.8],
+                            "anything": [1.0, 2.0]})
+    index = build_entity_index(encoder, ["zeta term", "alpha term"])
     pred, = contrastive_probe(encoder, index, [make_query("anything")], k=2)
     assert [c for c, _ in pred.candidates] == ["zeta term", "alpha term"]
 
@@ -248,8 +251,10 @@ def test_blocked_topk_equals_exhaustive_oracle(case):
     index_rows = np.zeros((len(axes), dim))
     for i, (axis, sign) in enumerate(axes):
         index_rows[i, axis] = sign
-    encoder = TableEncoder({f"query {i}": v for i, v in enumerate(vectors)})
-    index = EntityIndex(names, index_rows, encoder.identity, 1)
+    table = {f"query {i}": v for i, v in enumerate(vectors)}
+    table.update(zip(names, index_rows))
+    encoder = TableEncoder(table)
+    index = build_entity_index(encoder, names)
     queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(len(vectors))]
     # entity tiles of at most tile_width entities and query blocks of a few
     # rows, so runs of tied scores straddle both; a score takes 16 bytes,
@@ -288,26 +293,20 @@ def test_blocks_are_near_equal_and_bounded():
 def test_blocking_keeps_index_and_rankings():
     names = [f"entity {i} variant {i * 7 % 13}" for i in range(40)]
     queries = [make_query(f"finding {i} links to [MASK] .", qid=f"q-{i}") for i in range(25)]
-    whole_index = build_entity_index(make_encoder(), names)
-    whole = contrastive_probe(make_encoder(), whole_index, queries, k=12)
+    encoder = make_encoder()
+    whole_rows = probers._encode_units(encoder, names, encoder.max_layers)
+    whole = contrastive_probe(encoder, build_entity_index(encoder, names), queries, k=12)
     # 512-wide feature rows: eight names or queries per block
     with mock.patch.object(probers, "BLOCK_BYTES", 8 * 512 * 8):
-        blocked_index = build_entity_index(make_encoder(), names)
-        blocked = contrastive_probe(make_encoder(), blocked_index, queries, k=12)
+        blocked_rows = probers._encode_units(encoder, names, encoder.max_layers)
+        blocked = contrastive_probe(encoder, build_entity_index(encoder, names), queries, k=12)
     # BLAS may round a short block differently, so floats are compared to
     # within rounding; the rankings must agree exactly
-    np.testing.assert_allclose(blocked_index.vectors, whole_index.vectors, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(blocked_rows, whole_rows, rtol=0, atol=1e-12)
     for a, b in zip(blocked, whole):
         assert [c for c, _ in a.candidates] == [c for c, _ in b.candidates]
         np.testing.assert_allclose([s for _, s in a.candidates],
                                    [s for _, s in b.candidates], rtol=0, atol=1e-12)
-
-
-def test_index_rejects_non_finite_rows():
-    for bad in (np.nan, np.inf):
-        vectors = np.array([[1.0, 0.0], [bad, 0.0]])
-        with pytest.raises(ValidationError, match="unit norm"):
-            EntityIndex(("a", "b"), vectors, "enc", 1)
 
 
 def test_ranking_memory_stays_within_one_block():
@@ -316,13 +315,12 @@ def test_ranking_memory_stays_within_one_block():
     # below the 64 x n score matrix, whatever n is
     rng = np.random.default_rng(0)
     dim, n_queries = 8, 64
-    encoder = TableEncoder({f"query {i}": rng.standard_normal(dim) for i in range(n_queries)})
     queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(n_queries)]
+    query_rows = {q.query_text: rng.standard_normal(dim) for q in queries}
     for n in (4_096, 65_536):
-        vectors = rng.standard_normal((n, dim))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        index = EntityIndex(tuple(f"entity {i}" for i in range(n)), vectors,
-                            encoder.identity, 1)
+        names = [f"entity {i}" for i in range(n)]
+        encoder = TableEncoder({**query_rows, **dict(zip(names, rng.standard_normal((n, dim))))})
+        index = build_entity_index(encoder, names)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -332,6 +330,32 @@ def test_ranking_memory_stays_within_one_block():
             tracemalloc.stop()
         assert len(predictions) == n_queries
         assert peak - start <= 1.25 * probers.TILE_BYTES, n
+
+
+def test_entity_rows_live_one_tile_at_a_time():
+    # the index holds a reference per name, and the probe encodes one tile
+    # of 64-wide entity rows at a time, however large the vocabulary
+    rng = np.random.default_rng(1)
+    dim, n_queries = 64, 64
+    queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(n_queries)]
+    query_rows = {q.query_text: rng.standard_normal(dim) for q in queries}
+    tile_rows = 8 * dim * probers.TILE_ENTITIES
+    for n in (4_096, 65_536):
+        names = [f"entity {i}" for i in range(n)]
+        encoder = TableEncoder({**query_rows, **dict(zip(names, rng.standard_normal((n, dim))))})
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            index = build_entity_index(encoder, names)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            predictions = contrastive_probe(encoder, index, queries, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(predictions) == n_queries
+        assert held - start < 64 * n, n
+        assert peak - held <= tile_rows + 1.25 * probers.TILE_BYTES, n
 
 
 def test_bad_k_and_empty_queries():
