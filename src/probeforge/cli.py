@@ -23,7 +23,7 @@ from .encoders import (EncoderHandle, encoder_from_spec, generator_from_spec,
                        load_checkpoint, mlm_from_spec)
 from .errors import (ConfigurationError, InputError, NumericalError, ProbeforgeError,
                      ValidationError)
-from .evaluation import (EvalReport, RescoreResult, aggregate, bin_by_answer_length,
+from .evaluation import (EvalReport, aggregate, bin_by_answer_length,
                          expert_rescore, load_annotations, save_report,
                          score_predictions, stability_summary, step_curves,
                          write_report_csv, write_step_curves_csv)
@@ -31,8 +31,8 @@ from .probers import (DEFAULT_NUM_MASKS, MASK_STRATEGIES, RankedPrediction,
                       build_entity_index, contrastive_probe, generate_probe,
                       load_entities, load_predictions, mask_average_rank,
                       mask_predict_detail, save_predictions)
-from .rewire import (MaskedPair, RewireConfig, rewire_train, sample_sentences, tail_mask,
-                     write_loss_trace)
+from .rewire import (MaskedPair, RewireConfig, checkpoint_name, rewire_train,
+                     sample_sentences, tail_mask, write_loss_trace)
 from .text import collapse_norm, read_json, write_csv, write_json
 
 CACHE_ENV = "PROBEFORGE_CACHE"
@@ -69,28 +69,30 @@ class _Run:
 
     def path(self, name: str) -> Path:
         """Where to write the output name: a .partial file, moved into place
-        when the writing block ends. A staged directory that a failed or
-        killed run left there is removed first, so no file of it survives."""
-        staged = self.out / f"{name}.partial"
-        if staged.is_dir():
-            shutil.rmtree(staged)
+        when the writing block ends."""
         self.out.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
-        return staged
+        return self.out / f"{name}.partial"
 
     @contextmanager
     def writing(self, config: dict, inputs: dict, seed) -> Iterator[None]:
-        """Run the block, then commit: drop the earlier run's manifest, remove
+        """Remove every *.partial that a failed or killed run left under out,
+        run the block, then commit: drop the earlier run's manifest, remove
         every output it listed and every output of this run, move the staged
-        outputs into place, remove every other *.partial under out and write
-        the manifest last. Until the block ends
+        outputs into place and write the manifest last. Until the block ends
         the earlier run stays whole, manifest included, and a manifest always
         marks a completed run. A failure to write under out raises InputError;
         an earlier manifest that lists a bad output name raises
-        ValidationError before the block runs."""
+        ValidationError before anything is removed."""
         manifest = self.out / "manifest.json"
         try:
             earlier = _listed_outputs(manifest) if manifest.is_file() else []
+            # sorted, so a staged directory goes before anything inside it
+            for stale in sorted(self.out.rglob("*.partial")):
+                if stale.is_dir() and not stale.is_symlink():
+                    shutil.rmtree(stale)
+                else:
+                    stale.unlink(missing_ok=True)
             yield
             manifest.unlink(missing_ok=True)
             for name in sorted({*earlier, *self.outputs}):
@@ -101,13 +103,6 @@ class _Run:
                     target.unlink(missing_ok=True)
             for name in self.outputs:
                 os.replace(self.out / f"{name}.partial", self.out / name)
-            # what a failed or killed run staged under another name; sorted,
-            # so a staged directory goes before anything inside it
-            for stale in sorted(self.out.rglob("*.partial")):
-                if stale.is_dir() and not stale.is_symlink():
-                    shutil.rmtree(stale)
-                else:
-                    stale.unlink(missing_ok=True)
             # apart from the two clock fields the document is a pure
             # function of the flags
             write_json(manifest, {
@@ -151,15 +146,11 @@ def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
 
 def _relation_candidates(rel_queries: Sequence[ProbeQuery]) -> list[str]:
     """Gold answers of one relation, deduplicated in first-appearance order."""
-    names: list[str] = []
-    seen: set[str] = set()
+    names: dict[str, str] = {}
     for q in rel_queries:
         for answer in q.answers:
-            key = collapse_norm(answer)
-            if key not in seen:
-                seen.add(key)
-                names.append(answer)
-    return names
+            names.setdefault(collapse_norm(answer), answer)
+    return list(names.values())
 
 
 def _masked_pairs(corpus, config: RewireConfig) -> list[MaskedPair]:
@@ -188,8 +179,8 @@ def _resolve_checkpoint(checkpoint) -> Path:
         manifest_path = root / "manifest.json"
         if not manifest_path.is_file():
             raise InputError(f"{root}: the rewire run did not complete (no manifest.json)")
-        step_dir = Path("checkpoints", f"step_{step:05d}")
-        if str(step_dir) not in _listed_outputs(manifest_path):
+        step_dir = checkpoint_name(step)
+        if step_dir not in _listed_outputs(manifest_path):
             raise InputError(f"no checkpoint at step {step} in the run recorded by "
                              f"{manifest_path}")
         return root / step_dir
@@ -378,26 +369,6 @@ def _write_bins_csv(bins, k_values: Sequence[int], path) -> None:
                for row in bins))
 
 
-def _write_rescore_json(result: RescoreResult, path) -> None:
-    def keyed(mapping):
-        return {str(k): v for k, v in mapping.items()}
-
-    doc = {
-        "k_values": list(result.k_values),
-        "perfect_threshold": result.perfect_threshold,
-        "totals": keyed(result.totals),
-        "confusion": {str(k): {str(score): dict(cells)
-                               for score, cells in table.items()}
-                      for k, table in result.confusion.items()},
-        "gold_candidate_acc": keyed(result.gold_candidate_acc),
-        "gold_query_acc": keyed(result.gold_query_acc),
-        "annotated_acc": keyed(result.annotated_acc),
-        "annotated_candidate_acc": keyed(result.annotated_candidate_acc),
-        "notes": list(result.notes),
-    }
-    write_json(path, doc)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     run = _Run(args)
     k_values = _parse_int_list(args.k, "--k")
@@ -450,7 +421,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if bins is not None:
             _write_bins_csv(bins, k_values, run.path("bins.csv"))
         if rescored is not None:
-            _write_rescore_json(rescored, run.path("rescore.json"))
+            write_json(run.path("rescore.json"), asdict(rescored))
     accs = " ".join(f"acc@{k}={report.macro[k]:.4f}" for k in k_values)
     print(f"eval[{args.split}]: macro {accs} over {report.total_queries} queries -> {run.out}")
     return 0
@@ -504,20 +475,19 @@ def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, querie
     """Report of each (step, position, layer limit, metadata) point, by position.
 
     Points that share a training config share one encoder, trained once
-    through their steps in ascending order and probed as it reaches each.
-    Resuming rewire_train at start_step reproduces the uninterrupted run, so
-    each point sees the state a fresh run to its step ends in. A point whose
-    layer limit exceeds the encoder's depth is skipped (None).
+    through their steps in ascending order and probed as it reaches each:
+    rewire_train continues from encoder.step, and continuing reproduces the
+    uninterrupted run, so each point sees the state a fresh run to its step
+    ends in. A point whose layer limit exceeds the encoder's depth is
+    skipped (None).
     """
     encoder = encoder_from_spec(encoder_spec)
-    pairs, trained, reports = None, 0, {}
+    pairs, reports = None, {}
     for step, i, layer_limit, metadata in sorted(points, key=lambda p: p[:2]):
-        if step > trained:
+        if step > encoder.step:
             if pairs is None:
                 pairs = _masked_pairs(corpus, config)
-            rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0),
-                         start_step=trained)
-            trained = step
+            rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0))
         deep_enough = layer_limit is None or layer_limit <= encoder.max_layers
         reports[i] = (_sweep_report(encoder, queries, entity_names, layer_limit,
                                     k_values, metadata) if deep_enough else None)

@@ -296,9 +296,8 @@ def split_hard(queries: Iterable[ProbeQuery]) -> list[ProbeQuery]:
 
 
 def save_dataset(queries: Iterable[ProbeQuery], path) -> None:
-    write_jsonl(path, ({"query_id": q.query_id, "relation_id": q.relation_id,
-                        "head_name": q.head_name, "query_text": q.query_text,
-                        "answers": q.answers, "hard": q.hard} for q in queries))
+    # the instance's own field dict, in field order; asdict would copy each answers list
+    write_jsonl(path, map(vars, queries))
 
 
 def load_dataset(path) -> list[ProbeQuery]:

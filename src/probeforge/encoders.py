@@ -38,9 +38,12 @@ ENCODE_SLICE = 128
 
 
 class EncoderHandle(ABC):
-    """Trainable text encoder: list[str] -> (n, embedding_dim) matrix."""
+    """Trainable text encoder: list[str] -> (n, embedding_dim) matrix.
+
+    step counts the SGD steps taken; rewire_train continues from it."""
 
     identity: str
+    step: int
     embedding_dim: int
     max_layers: int
 
@@ -466,10 +469,8 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir) -> Path:
 
     Arrays go to individual .npy files (no archive timestamps, so identical
     weights produce identical bytes). The sidecar, written last, records
-    identity, embedding_dim, max_layers and the encoder's own step, the
-    sha256 of each .npy file, plus whatever the backend needs to rebuild
-    itself. The step is the encoder's, the one its identity ends in, so the
-    rebuilt identity matches the sidecar whatever step training resumed at.
+    identity, embedding_dim, max_layers, step, the sha256 of each .npy file,
+    plus whatever the backend needs to rebuild itself.
     """
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)

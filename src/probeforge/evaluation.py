@@ -16,7 +16,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -439,21 +439,8 @@ def expert_rescore(predictions: Sequence[RankedPrediction],
 # report files
 
 def save_report(report: EvalReport, path) -> None:
-    doc = {
-        "model": report.model,
-        "strategy": report.strategy,
-        "split": report.split,
-        "k_values": list(report.k_values),
-        "per_relation": {
-            rel: {"count": score.count,
-                  "acc": {str(k): v for k, v in score.acc.items()}}
-            for rel, score in report.per_relation.items()
-        },
-        "macro": {str(k): v for k, v in report.macro.items()},
-        "micro": {str(k): v for k, v in report.micro.items()},
-        "metadata": report.metadata,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
+    """Write the report's fields in their declared order, as UTF-8 JSON."""
+    Path(path).write_text(json.dumps(asdict(report), indent=2, ensure_ascii=False) + "\n",
                           encoding="utf-8")
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ from .errors import (
     InputError,
     ValidationError,
 )
-from .text import collapse_norm, read_records, write_jsonl
+from .text import collapse_norm, read_lines, read_records, write_jsonl
 
 DEFAULT_NUM_MASKS = 5
 MASK_STRATEGIES = ("independent", "order", "confidence")
@@ -136,12 +135,10 @@ class EntityIndex:
 
 
 def load_entities(path) -> list[str]:
-    """One entity name per line; blank lines are skipped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read entities from {path}: {exc}") from exc
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    """One entity name per line; blank lines are skipped. Lines end where
+    every other reader's do, at \n, \r or \r\n, so a form feed or U+2028
+    stays inside its name."""
+    return [name for line in read_lines(path, "entities") if (name := line.strip())]
 
 
 def build_entity_index(encoder: EncoderHandle, entity_names: Sequence[str],

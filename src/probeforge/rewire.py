@@ -242,19 +242,29 @@ def write_loss_trace(trace: list[TraceRow], path) -> None:
               ([row.step, f"{row.loss_sum:.8f}", f"{row.loss_mean:.8f}"] for row in trace))
 
 
+def checkpoint_name(step: int) -> str:
+    """The artifact name of a rewire run's checkpoint at step."""
+    return f"checkpoints/step_{step:05d}"
+
+
 def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
-                 config: RewireConfig, checkpoint_path=None,
-                 start_step: int = 0) -> list[TraceRow]:
-    """Run plain SGD on the in-batch contrastive objective and return the
-    trace, one row per step taken.
+                 config: RewireConfig, checkpoint_path=None) -> list[TraceRow]:
+    """Run plain SGD on the in-batch contrastive objective from the step
+    after encoder.step through config.steps, and return the trace, one row
+    per step taken.
+
+    config.steps is the total, not a count of steps to add: an encoder at
+    exactly config.steps takes none and the trace is empty, and an encoder
+    past it raises ConfigurationError. So a second call with the same config
+    trains nothing.
 
     Every checkpoint_every steps the encoder is saved to
-    checkpoint_path(f"checkpoints/step_{step:05d}"); checkpoint_path maps
-    an artifact name to the path to write it at, and None saves nothing.
+    checkpoint_path(checkpoint_name(step)); checkpoint_path maps an
+    artifact name to the path to write it at, and None saves nothing.
 
     The epoch shuffle for epoch e is drawn from a stream seeded by
     (config.seed, e), so the batch at any global step is a pure function of
-    the config; resuming from a checkpoint with start_step = s reproduces
+    the config; continuing an encoder loaded from a checkpoint reproduces
     the uninterrupted run exactly. The final short batch of an epoch is
     dropped. Steps are 1-based in the trace and in checkpoint names.
 
@@ -267,8 +277,9 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         raise InputError(
             f"need at least batch_size={config.batch_size} pairs, got {len(pairs)}"
         )
-    if not 0 <= start_step <= config.steps:
-        raise ConfigurationError("start_step must lie in [0, steps]")
+    if encoder.step > config.steps:
+        raise ConfigurationError(f"the encoder is at step {encoder.step}, "
+                                 f"past the config's {config.steps} steps")
     batches_per_epoch = len(pairs) // config.batch_size
 
     # truncate_tokens is pure, so truncating each pair once gives the same
@@ -278,7 +289,7 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
     trace: list[TraceRow] = []
     current_epoch = -1
     perm = None
-    for step in range(start_step + 1, config.steps + 1):
+    for step in range(encoder.step + 1, config.steps + 1):
         epoch = (step - 1) // batches_per_epoch
         if epoch != current_epoch:
             perm = np.random.default_rng([config.seed, epoch]).permutation(len(pairs))
@@ -304,7 +315,7 @@ def rewire_train(encoder: EncoderHandle, pairs: list[MaskedPair],
         trace.append(TraceRow(step, loss, loss / n))
         if checkpoint_path is not None and config.checkpoint_every > 0 \
                 and step % config.checkpoint_every == 0:
-            save_checkpoint(encoder, checkpoint_path(f"checkpoints/step_{step:05d}"))
+            save_checkpoint(encoder, checkpoint_path(checkpoint_name(step)))
     if trace:
         try:
             with np.errstate(over="ignore", invalid="ignore"):

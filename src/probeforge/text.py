@@ -108,8 +108,11 @@ def read_json(path, what: str, kind: type = dict):
 
 
 def write_json(path, doc) -> None:
-    """Write doc as ASCII JSON indented by 2 with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    """Write doc as ASCII JSON indented by 2 with a final newline. Keys are
+    sorted as the text JSON writes them, an int key as its digits, so 10
+    comes before 2."""
+    text_keyed = json.loads(json.dumps(doc))
+    Path(path).write_text(json.dumps(text_keyed, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
 
 

@@ -927,13 +927,14 @@ def test_sweep_trains_in_the_calling_process(tmp_path, curated, config_path,
     calls = []
 
     def counting_rewire_train(*args, **kwargs):
-        calls.append(kwargs.get("start_step"))
+        calls.append(args[0].step)
         return rewire_train(*args, **kwargs)
 
     monkeypatch.setattr(cli, "rewire_train", counting_rewire_train)
     out = tmp_path / "seeds"
     assert main(_sweep_argv("seed", "7,8", curated, config_path, "2", out)) == 0
-    assert len(calls) == 2
+    # one fresh encoder per seed
+    assert calls == [0, 0]
 
 
 def test_sweep_workers_flag_keeps_the_cache_slot(tmp_path, curated, config_path,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probeforge import probers
-from probeforge.curator import ProbeQuery
+from probeforge.curator import ProbeQuery, load_triples
 from probeforge.encoders import (
     EncoderHandle,
     GeneratorHandle,
@@ -111,6 +111,27 @@ def test_load_entities_skips_blanks(tmp_path):
     path = tmp_path / "entities.txt"
     path.write_text("Aspirin\n\n  Ibuprofen \n", encoding="utf-8")
     assert load_entities(path) == ["Aspirin", "Ibuprofen"]
+
+
+def test_load_entities_ends_lines_where_load_triples_does(tmp_path):
+    # str.splitlines would also break at a form feed, U+001C..U+001E, U+0085,
+    # U+2028 and U+2029; a triple tail keeps them, so its entity must too
+    tails = ["Gamma\x0cDelta", "Eta\x1cTheta", "Iota\x85Kappa", "Alpha\u2028Beta",
+             "Mu\u2029Nu", "Omega"]
+    entities, triples = tmp_path / "entities.txt", tmp_path / "triples.tsv"
+    entities.write_text("".join(f"{t}\n" for t in tails), encoding="utf-8")
+    triples.write_text("".join(f"Head\trel\t{t}\n" for t in tails), encoding="utf-8")
+    assert load_entities(entities) == tails
+    assert [t.tail_name for t in load_triples(triples).triples] == tails
+
+
+def test_load_entities_unreadable_is_input_error(tmp_path):
+    path = tmp_path / "entities.txt"
+    with pytest.raises(InputError, match="cannot read entities from"):
+        load_entities(path)
+    path.write_bytes(b"Aspirin\n\xff\n")
+    with pytest.raises(InputError, match="cannot read entities from"):
+        load_entities(path)
 
 
 # ---------------------------------------------------------------------------

@@ -409,8 +409,12 @@ def test_rewire_train_matches_public_api_loop(batch_size, start_step):
     pairs = toy_pairs(10)
     cfg = quick_config(steps=11, batch_size=batch_size, max_query_tokens=3)
     want_encoder, got_encoder = toy_encoder(), toy_encoder()
+    # both encoders reach start_step first; rewire_train then continues from it
+    first_leg = quick_config(steps=start_step, batch_size=batch_size, max_query_tokens=3)
+    public_api_loop(want_encoder, pairs, first_leg)
+    rewire_train(got_encoder, pairs, first_leg)
     want = public_api_loop(want_encoder, pairs, cfg, start_step)
-    got = rewire_train(got_encoder, pairs, cfg, start_step=start_step)
+    got = rewire_train(got_encoder, pairs, cfg)
     assert got == want
     assert got_encoder.identity == want_encoder.identity
     for name, array in want_encoder.state_arrays().items():
@@ -459,7 +463,7 @@ def test_resume_from_checkpoint_matches_uninterrupted(tmp_path):
     rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=3, checkpoint_every=3),
                  checkpoint_path=tmp_path.joinpath)
     resumed_encoder = load_checkpoint(tmp_path / "checkpoints" / "step_00003")
-    resumed = rewire_train(resumed_encoder, toy_pairs(), cfg, start_step=3)
+    resumed = rewire_train(resumed_encoder, toy_pairs(), cfg)
     assert [r.step for r in resumed] == [4, 5, 6, 7, 8, 9]
     for row_full, row_res in zip(full[3:], resumed):
         assert row_full == row_res
@@ -475,10 +479,33 @@ def test_checkpoint_cadence(tmp_path):
 
 
 def test_checkpoint_of_a_run_started_past_step_zero_loads(tmp_path):
-    # the encoder counts 4 steps although the loop numbers them 5..8; the
-    # sidecar records the encoder's own step, the one its identity ends in
-    trained = toy_encoder()
-    rewire_train(trained, toy_pairs(), quick_config(steps=8, checkpoint_every=4),
-                 checkpoint_path=tmp_path.joinpath, start_step=4)
+    # a run resumed from a loaded step-4 checkpoint saves step 8, and that
+    # checkpoint reloads with the identity of the encoder that wrote it
+    cfg = quick_config(steps=8, checkpoint_every=4)
+    rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=4, checkpoint_every=4),
+                 checkpoint_path=tmp_path.joinpath)
+    resumed = load_checkpoint(tmp_path / "checkpoints" / "step_00004")
+    trace = rewire_train(resumed, toy_pairs(), cfg, checkpoint_path=tmp_path.joinpath)
+    assert [r.step for r in trace] == [5, 6, 7, 8]
     reloaded = load_checkpoint(tmp_path / "checkpoints" / "step_00008")
-    assert reloaded.identity == trained.identity
+    assert reloaded.identity == resumed.identity
+    assert reloaded.identity.endswith("@step8")
+
+
+def test_encoder_past_the_config_steps_is_configuration_error():
+    encoder = toy_encoder()
+    rewire_train(encoder, toy_pairs(), quick_config(steps=4))
+    with pytest.raises(ConfigurationError, match="at step 4"):
+        rewire_train(encoder, toy_pairs(), quick_config(steps=3))
+    assert encoder.step == 4
+
+
+def test_encoder_at_the_config_steps_trains_nothing():
+    # config.steps is the total: a second call with the same config adds nothing
+    encoder, cfg = toy_encoder(), quick_config(steps=4)
+    rewire_train(encoder, toy_pairs(), cfg)
+    before = {name: array.copy() for name, array in encoder.state_arrays().items()}
+    assert rewire_train(encoder, toy_pairs(), cfg) == []
+    assert encoder.step == 4
+    for name, array in encoder.state_arrays().items():
+        assert np.array_equal(array, before[name]), name

@@ -10,7 +10,8 @@ from probeforge.cli import main
 from probeforge.curator import ProbeQuery, save_dataset
 from probeforge.encoders import ReferenceEncoder, save_checkpoint
 from probeforge.errors import InputError, ValidationError
-from probeforge.evaluation import EvalReport, RelationScore, save_report
+from probeforge.evaluation import (EvalReport, ExpertAnnotation, RelationScore,
+                                   save_annotations, save_report)
 from probeforge.probers import RankedPrediction, save_predictions
 from probeforge.rewire import RewireConfig
 from probeforge.text import read_json, read_lines
@@ -103,6 +104,45 @@ def test_manifest_bytes(tmp_path):
     assert main(["curate", "--triples", TRIPLES, "--out", str(tmp_path)]) == 0
     manifest = _assert_canonical(tmp_path / "manifest.json")
     assert manifest["outputs"] == ["full.jsonl", "hard.jsonl", "stats.csv"]
+
+
+def test_rescore_bytes(tmp_path):
+    save_dataset([ProbeQuery("q1", "r", "Ménière", "Ménière is [MASK] .", ["vertigo"])],
+                 tmp_path / "full.jsonl")
+    save_predictions([RankedPrediction("q1", (("vertigo", 0.9), ("dizziness", 0.5),
+                                              ("nausea", 0.1)), "contrastive")],
+                     tmp_path / "predictions.jsonl")
+    save_annotations([ExpertAnnotation("q1", "vertigo", 5),
+                      ExpertAnnotation("q1", "dizziness", 5),
+                      ExpertAnnotation("q1", "nausea", 1)], tmp_path / "annotations.csv")
+    assert main(["eval", "--predictions", str(tmp_path / "predictions.jsonl"),
+                 "--dataset", str(tmp_path / "full.jsonl"), "--k", "1,5,10",
+                 "--annotations", str(tmp_path / "annotations.csv"),
+                 "--out", str(tmp_path / "eval")]) == 0
+
+    def cells(hit_5, miss_5, miss_1):
+        empty = {"gold_hit": 0, "gold_miss": 0}
+        return {"1": {**empty, "gold_miss": miss_1}, "2": empty, "3": empty, "4": empty,
+                "5": {"gold_hit": hit_5, "gold_miss": miss_5}}
+
+    doc = _assert_canonical(tmp_path / "eval" / "rescore.json")
+    assert doc == {
+        "annotated_acc": {"1": 1.0, "10": 5 / 3, "5": 1.0},
+        "annotated_candidate_acc": {"1": 1.0, "10": 2 / 3, "5": 2 / 3},
+        "confusion": {"1": cells(1, 0, 0), "10": cells(1, 1, 1), "5": cells(1, 1, 1)},
+        "gold_candidate_acc": {"1": 1.0, "10": 1 / 3, "5": 1 / 3},
+        "gold_query_acc": {"1": 1.0, "10": 1.0, "5": 1.0},
+        "k_values": [1, 5, 10],
+        "notes": ["annotated acc@5 counts perfect answers across every reported cutoff "
+                  "up to 5 (3/3); the plain top-5 ratio is 2/3",
+                  "annotated acc@10 counts perfect answers across every reported cutoff "
+                  "up to 10 (5/3); the plain top-10 ratio is 2/3"],
+        "perfect_threshold": 5,
+        "totals": {"1": 1, "10": 3, "5": 3},
+    }
+    # every k- and score-keyed mapping is sorted as text, so "10" precedes "5"
+    text = (tmp_path / "eval" / "rescore.json").read_text(encoding="ascii")
+    assert text.index('"10": 3') < text.index('"5": 3')
 
 
 # ---------------------------------------------------------------------------
