@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import zlib
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -25,9 +26,10 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import ConfigurationError, InputError, NumericalError, ValidationError
-from .text import read_json, write_json
+from .text import read_json, sha256_file, write_json
 
 SIDECAR_NAME = "sidecar.json"
 # most texts whose dense feature rows ReferenceEncoder.encode builds at once;
@@ -78,7 +80,12 @@ class EncoderHandle(ABC):
         """Named parameter arrays, for checkpointing."""
 
     @abstractmethod
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None: ...
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy arrays, named as state_arrays names them, into the encoder's
+        own parameter arrays in place. Every name and shape is checked first,
+        so a mismatch raises ValidationError and writes nothing. Arrays that
+        state_arrays returned earlier see the new values, and a pending
+        forward_train is dropped."""
 
     def sidecar_config(self) -> dict:
         """Backend-specific constructor arguments stored in the checkpoint."""
@@ -450,10 +457,9 @@ class ReferenceEncoder(EncoderHandle):
         for name, arr in arrays.items():
             if arr.shape != expected[name].shape:
                 raise ValidationError(f"array {name}: shape {arr.shape} != {expected[name].shape}")
-        self.w_in = np.array(arrays["w_in"], dtype=float)
-        self.blocks = [np.array(arrays[f"block_{i:02d}"], dtype=float)
-                       for i in range(len(self.blocks))]
-        # the cache holds rows of the weights just replaced
+        for name, target in expected.items():
+            target[...] = arrays[name]
+        # the cache holds rows of the weights just overwritten
         self._train_cache = None
 
     def sidecar_config(self):
@@ -468,19 +474,21 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir) -> Path:
     """Write one weights-plus-sidecar checkpoint directory.
 
     Arrays go to individual .npy files (no archive timestamps, so identical
-    weights produce identical bytes). The sidecar, written last, records
-    identity, embedding_dim, max_layers, step, the sha256 of each .npy file,
-    plus whatever the backend needs to rebuild itself.
+    weights produce identical bytes). np.save writes each array straight into
+    its open file, which copies nothing for a contiguous array, and its sha256
+    is read back from the file one block at a time, so a save holds no buffer
+    of an array's size. The sidecar, written last, records identity,
+    embedding_dim, max_layers, step, the sha256 of each .npy file, plus
+    whatever the backend needs to rebuild itself.
     """
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     digests = {}
     for name, arr in encoder.state_arrays().items():
-        buf = io.BytesIO()
-        np.save(buf, arr)
-        data = buf.getvalue()
-        (ckpt_dir / f"{name}.npy").write_bytes(data)
-        digests[name] = hashlib.sha256(data).hexdigest()
+        path = ckpt_dir / f"{name}.npy"
+        with open(path, "wb") as fh:
+            np.save(fh, arr)
+        digests[name] = sha256_file(path)
     sidecar = {
         "identity": encoder.identity,
         "embedding_dim": encoder.embedding_dim,
@@ -494,8 +502,37 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir) -> Path:
     return ckpt_dir
 
 
+def _npy_view(data: bytes) -> np.ndarray:
+    """A read-only view of the array that the bytes of an .npy file hold,
+    parsed with numpy.lib.format; nothing is copied. Bad magic, a format
+    version other than 1.0 or 2.0, a malformed header, a dtype that is not
+    boolean, integer or floating, or a payload other than exactly the bytes
+    the header's shape needs raises ValueError."""
+    fh = io.BytesIO(data)
+    version = npy_format.read_magic(fh)
+    if version == (1, 0):
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = npy_format.read_array_header_2_0(fh)
+    else:
+        raise ValueError(f"unsupported .npy format version {version}")
+    if dtype.kind not in "biuf":
+        raise ValueError(f"dtype {dtype} is not boolean, integer or floating")
+    count, offset = math.prod(shape), fh.tell()
+    if len(data) - offset != count * dtype.itemsize:
+        raise ValueError(f"shape {shape} of {dtype} needs {count * dtype.itemsize} "
+                         f"payload bytes, the file holds {len(data) - offset}")
+    flat = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
+
+
 def load_checkpoint(ckpt_dir) -> EncoderHandle:
     """Rebuild an encoder from a checkpoint directory.
+
+    Each .npy file is read once; its bytes are hashed, and only bytes that
+    match the sidecar's sha256 are parsed, as a view that load_state_arrays
+    copies into the new encoder's arrays. The load holds the encoder plus
+    one copy of the file bytes.
 
     A sidecar that is unreadable or not UTF-8, or a weights file that cannot
     be read or parsed, raises InputError. A sidecar that is not a JSON object,
@@ -532,8 +569,8 @@ def load_checkpoint(ckpt_dir) -> EncoderHandle:
                 f"checkpoint array {path} does not match its sha256 in {sidecar_path}"
             )
         try:
-            arrays[path.stem] = np.load(io.BytesIO(data))
-        except (ValueError, EOFError) as exc:
+            arrays[path.stem] = _npy_view(data)
+        except ValueError as exc:
             raise InputError(f"cannot load checkpoint array {path}: {exc}") from exc
     encoder.load_state_arrays(arrays)
     if encoder.identity != identity:

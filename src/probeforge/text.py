@@ -1,6 +1,7 @@
 """Text helpers shared across curation, probing, and scoring: normalization,
-and the one reader and writer of each file format the pipeline passes
-between stages: lines, CSV tables, JSON documents and JSONL records.
+the one reader and writer of each file format the pipeline passes
+between stages: lines, CSV tables, JSON documents and JSONL records, and the
+one file hash.
 
 Two normalizations coexist on purpose: answer handling collapses case and
 whitespace only, while match scoring additionally strips punctuation hanging
@@ -15,6 +16,7 @@ for JSONL).
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import string
 from operator import itemgetter
@@ -26,6 +28,8 @@ from .errors import InputError, ValidationError
 T = TypeVar("T")
 
 _STRIP_CHARS = string.punctuation + string.whitespace
+# bytes sha256_file reads at a time
+_HASH_BLOCK = 1 << 18
 
 
 def collapse_norm(text: str) -> str:
@@ -72,6 +76,18 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def sha256_file(path) -> str:
+    """The hex sha256 of the file at path, read into one reused block of
+    _HASH_BLOCK bytes, so hashing holds that block whatever the file's size."""
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def read_lines(source, what: str) -> Iterable[str]:

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import json
 import re
 import shutil
@@ -384,6 +386,63 @@ def test_probe_damaged_checkpoint_exits_one(tmp_path, curated, rewired, capsys, 
     assert len(err.strip().splitlines()) == 1
     assert culprit in err
     assert "Traceback" not in err
+
+
+def _rewrite_with_digest(ckpt: Path, name: str, data: bytes) -> str:
+    # the sidecar's sha256 is made to match, so the damage reaches the parser
+    (ckpt / f"{name}.npy").write_bytes(data)
+    sidecar = json.loads((ckpt / "sidecar.json").read_text())
+    sidecar["sha256"][name] = hashlib.sha256(data).hexdigest()
+    (ckpt / "sidecar.json").write_text(json.dumps(sidecar))
+    return f"{name}.npy"
+
+
+def _bad_magic(ckpt: Path) -> str:
+    data = (ckpt / "w_in.npy").read_bytes()
+    return _rewrite_with_digest(ckpt, "w_in", b"\x93NUMPX" + data[6:])
+
+
+def _shape_past_the_payload(ckpt: Path) -> str:
+    arr = np.load(ckpt / "block_00.npy")
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False,
+                 "shape": (arr.shape[0] + 1, arr.shape[1])})
+    return _rewrite_with_digest(ckpt, "block_00", header.getvalue() + arr.tobytes())
+
+
+def _trailing_bytes(ckpt: Path) -> str:
+    data = (ckpt / "block_01.npy").read_bytes()
+    return _rewrite_with_digest(ckpt, "block_01", data + bytes(8))
+
+
+def _object_dtype(ckpt: Path) -> str:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(np.load(ckpt / "block_00.npy").shape, dtype=object),
+            allow_pickle=True)
+    return _rewrite_with_digest(ckpt, "block_00", buf.getvalue())
+
+
+@pytest.mark.parametrize("damage", [_bad_magic, _shape_past_the_payload, _trailing_bytes,
+                                    _object_dtype],
+                         ids=["bad-magic", "shape-past-payload", "trailing-bytes",
+                              "object-dtype"])
+def test_probe_unparsable_checkpoint_array_exits_one(tmp_path, curated, rewired, capsys,
+                                                     damage):
+    ckpt = tmp_path / "step_00010"
+    shutil.copytree(rewired / "checkpoints" / "step_00010", ckpt)
+    culprit = damage(ckpt)
+    code = main(["probe", "--checkpoint", str(ckpt),
+                 "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--strategy", "contrastive",
+                 "--out", str(tmp_path / "probe")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("probeforge: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert f"cannot load checkpoint array {ckpt / culprit}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "probe").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,57 @@ def test_load_checkpoint_rejects_arrays_of_a_later_save(tmp_path):
         load_checkpoint(tmp_path / "old")
 
 
+def test_checkpoint_io_holds_one_copy_of_the_weights(tmp_path):
+    # a 32 MiB input projection: a save holds no buffer of its size, and a
+    # load holds the encoder it returns plus at most one buffer
+    enc = ReferenceEncoder(dim=64, seed=0, layers=2, feature_dim=65536)
+    size = enc.w_in.nbytes
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        save_checkpoint(enc, tmp_path)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start_load, _ = tracemalloc.get_traced_memory()
+        back = load_checkpoint(tmp_path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak - start < 0.125 * size
+    assert load_peak - start_load < 2.25 * size
+    np.testing.assert_array_equal(back.w_in, enc.w_in)
+
+
+@pytest.mark.parametrize("layout", ["<f4", ">f8", "fortran"])
+def test_load_checkpoint_casts_as_np_load_does(tmp_path, layout):
+    # a valid array of another dtype, byte order or memory order loads the
+    # values np.load reads, cast to float64, into C-ordered weights
+    save_checkpoint(small_encoder(), tmp_path)
+    sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+    for name in ("w_in", "block_02"):
+        path = tmp_path / f"{name}.npy"
+        arr = np.load(path)
+        np.save(path, np.asfortranarray(arr) if layout == "fortran" else arr.astype(layout))
+        sidecar["sha256"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (tmp_path / "sidecar.json").write_text(json.dumps(sidecar))
+    back = load_checkpoint(tmp_path)
+    for name, got in back.state_arrays().items():
+        want = np.array(np.load(tmp_path / f"{name}.npy"), dtype=float)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
+def test_load_state_arrays_writes_nothing_on_a_mismatch():
+    enc = small_encoder()
+    before = {name: arr.copy() for name, arr in enc.state_arrays().items()}
+    arrays = small_encoder(seed=4).state_arrays()
+    arrays["block_03"] = arrays["block_03"][:-1]
+    with pytest.raises(ValidationError, match="block_03"):
+        enc.load_state_arrays(arrays)
+    for name, arr in enc.state_arrays().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
 def test_load_checkpoint_requires_array_digests(tmp_path):
     save_checkpoint(small_encoder(), tmp_path)
     sidecar = json.loads((tmp_path / "sidecar.json").read_text())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probeforge import rewire
-from probeforge.encoders import ReferenceEncoder, load_checkpoint
+from probeforge.encoders import ReferenceEncoder, load_checkpoint, save_checkpoint
 from probeforge.errors import (
     ConfigurationError,
     InputError,
@@ -476,6 +476,19 @@ def test_checkpoint_cadence(tmp_path):
         "step_00004", "step_00008", "step_00012"]
     reloaded = load_checkpoint(tmp_path / "checkpoints" / "step_00008")
     assert reloaded.step == 8
+
+
+def test_reloaded_checkpoints_save_the_same_bytes(tmp_path):
+    # load_checkpoint then save_checkpoint reproduces every file of each
+    # checkpoint of a run, sidecar and its digests included
+    rewire_train(toy_encoder(), toy_pairs(), quick_config(steps=12, checkpoint_every=4),
+                 checkpoint_path=tmp_path.joinpath)
+    steps = sorted((tmp_path / "checkpoints").iterdir())
+    assert len(steps) == 3
+    for step in steps:
+        copy = save_checkpoint(load_checkpoint(step), tmp_path / "resaved" / step.name)
+        assert ({p.name: p.read_bytes() for p in copy.iterdir()}
+                == {p.name: p.read_bytes() for p in step.iterdir()})
 
 
 def test_checkpoint_of_a_run_started_past_step_zero_loads(tmp_path):

@@ -1,5 +1,6 @@
 """The file formats of text.py: each reader's error rule and each writer's bytes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from probeforge.evaluation import (EvalReport, ExpertAnnotation, RelationScore,
                                    save_annotations, save_report)
 from probeforge.probers import RankedPrediction, save_predictions
 from probeforge.rewire import RewireConfig
-from probeforge.text import read_json, read_lines
+from probeforge import text
+from probeforge.text import read_json, read_lines, sha256_file
 
 TRIPLES = str(Path(probeforge.__file__).parent / "fixtures" / "triples.tsv")
 
@@ -98,6 +100,14 @@ def test_checkpoint_sidecar_bytes(tmp_path):
     save_checkpoint(ReferenceEncoder(dim=4, seed=1, layers=1, feature_dim=16), tmp_path)
     sidecar = _assert_canonical(tmp_path / "sidecar.json")
     assert list(sidecar["sha256"]) == sorted(sidecar["sha256"])
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_file_hash_across_block_edges(tmp_path, extra):
+    for size in (0, text._HASH_BLOCK + extra, 3 * text._HASH_BLOCK + extra):
+        data = bytes(range(256)) * (size // 256) + b"x" * (size % 256)
+        (tmp_path / "f").write_bytes(data)
+        assert sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
 
 
 def test_manifest_bytes(tmp_path):
