@@ -19,8 +19,8 @@ from . import __version__
 from .curator import (ProbeQuery, default_templates, group_queries,
                       load_dataset, load_templates, load_triples, save_dataset,
                       split_hard)
-from .encoders import (EncoderHandle, encoder_from_spec, generator_from_spec,
-                       load_checkpoint, mlm_from_spec)
+from .encoders import (SIDECAR_NAME, EncoderHandle, encoder_from_spec,
+                       generator_from_spec, load_checkpoint, mlm_from_spec)
 from .errors import (ConfigurationError, InputError, NumericalError, ProbeforgeError,
                      ValidationError)
 from .evaluation import (EvalReport, aggregate, bin_by_answer_length,
@@ -38,6 +38,8 @@ from .text import collapse_norm, read_json, write_csv, write_json
 CACHE_ENV = "PROBEFORGE_CACHE"
 PROBE_STRATEGIES = ("contrastive", "mask-predict", "mask-average", "generate")
 SWEEP_AXES = ("layer", "mask-ratio", "checkpoint-step", "seed")
+MANIFEST_NAME = "manifest.json"
+REWIRE_CONFIG_NAME = "rewire_config.json"
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +55,7 @@ class _Run:
     def __init__(self, args: argparse.Namespace):
         self.t0 = time.perf_counter()
         self.started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        self.command = args._command
+        self.command = args.command
         self.outputs: list[str] = []
         if args.out:
             self.out = Path(args.out)
@@ -63,7 +65,8 @@ class _Run:
             args._parser.error(f"--out is required when {CACHE_ENV} is not set")
         flags = {k: v for k, v in vars(args).items()
                  if not k.startswith("_") and k not in ("func", "out", "workers")}
-        payload = json.dumps({"command": self.command, **flags}, sort_keys=True, default=str)
+        # flags holds argparse's own command, so each command keys its own slots
+        payload = json.dumps(flags, sort_keys=True, default=str)
         digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
         self.out = Path(cache) / f"{self.command}-{digest}"
 
@@ -84,7 +87,7 @@ class _Run:
         marks a completed run. A failure to write under out raises InputError;
         an earlier manifest that lists a bad output name raises
         ValidationError before anything is removed."""
-        manifest = self.out / "manifest.json"
+        manifest = self.out / MANIFEST_NAME
         try:
             earlier = _listed_outputs(manifest) if manifest.is_file() else []
             # sorted, so a staged directory goes before anything inside it
@@ -133,15 +136,29 @@ def _listed_outputs(manifest: Path) -> list[str]:
     return outputs
 
 
-def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
+def _parse_list(raw: str, parse: Callable[[str], float], empty: str, bad: str) -> tuple:
+    """Each non-blank item of the comma-separated list raw, through parse. No
+    item raises ConfigurationError(empty); a ValueError from parse, ConfigurationError(bad)."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
-        raise ConfigurationError(f"{flag} must list at least one integer")
+        raise ConfigurationError(empty)
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(parse(p) for p in parts)
     except ValueError:
-        raise ConfigurationError(
-            f"{flag}: expected comma-separated integers, got {raw!r}") from None
+        raise ConfigurationError(bad) from None
+
+
+def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
+    return _parse_list(raw, int, f"{flag} must list at least one integer",
+                       f"{flag}: expected comma-separated integers, got {raw!r}")
+
+
+def _load_queries(path) -> list[ProbeQuery]:
+    """The queries of the dataset at path; an empty dataset raises InputError."""
+    queries = load_dataset(path)
+    if not queries:
+        raise InputError(f"{path}: dataset is empty")
+    return queries
 
 
 def _relation_candidates(rel_queries: Sequence[ProbeQuery]) -> list[str]:
@@ -167,18 +184,18 @@ def _resolve_checkpoint(checkpoint) -> Path:
     written last, lists it: a step directory left by an earlier run into the
     same dir holds that run's weights."""
     root = Path(checkpoint)
-    if (root / "sidecar.json").is_file():
+    if (root / SIDECAR_NAME).is_file():
         return root
-    config_path = root / "rewire_config.json"
+    config_path = root / REWIRE_CONFIG_NAME
     if config_path.is_file():
         config = RewireConfig.from_json(config_path)
         step = config.probe_checkpoint_step
         if step < 1:
             raise ConfigurationError(
                 f"{config_path}: probe_checkpoint_step is {step}; pass a checkpoint directory")
-        manifest_path = root / "manifest.json"
+        manifest_path = root / MANIFEST_NAME
         if not manifest_path.is_file():
-            raise InputError(f"{root}: the rewire run did not complete (no manifest.json)")
+            raise InputError(f"{root}: the rewire run did not complete (no {MANIFEST_NAME})")
         step_dir = checkpoint_name(step)
         if step_dir not in _listed_outputs(manifest_path):
             raise InputError(f"no checkpoint at step {step} in the run recorded by "
@@ -237,7 +254,7 @@ def cmd_rewire(args: argparse.Namespace) -> int:
                              "config": args.config},
                      seed=config.seed):
         trace = rewire_train(encoder, pairs, config, checkpoint_path=run.path)
-        config.to_json(run.path("rewire_config.json"))
+        config.to_json(run.path(REWIRE_CONFIG_NAME))
         write_loss_trace(trace, run.path("loss_trace.csv"))
     final = trace[-1].loss_mean if trace else float("nan")
     print(f"rewire: {config.steps} steps on {len(pairs)} pairs, "
@@ -331,9 +348,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         args._parser.error("--checkpoint only applies to contrastive probing")
     if args.strategy != "contrastive" and not args.encoder:
         args._parser.error(f"--encoder is required for {args.strategy} probing")
-    queries = load_dataset(args.dataset)
-    if not queries:
-        raise InputError(f"{args.dataset}: dataset is empty")
+    queries = _load_queries(args.dataset)
 
     runner = {
         "contrastive": _probe_contrastive,
@@ -442,14 +457,9 @@ def _sweep_point(axis: str, config: RewireConfig, probe_step: int, value):
 
 
 def _parse_axis_values(axis: str, raw: str):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigurationError("--values must list at least one value")
-    try:
-        values = [float(p) if axis == "mask-ratio" else int(p) for p in parts]
-    except ValueError:
-        raise ConfigurationError(
-            f"--values: could not parse {raw!r} for axis {axis}") from None
+    values = _parse_list(raw, float if axis == "mask-ratio" else int,
+                         "--values must list at least one value",
+                         f"--values: could not parse {raw!r} for axis {axis}")
     if len(set(values)) != len(values):
         raise ConfigurationError(f"--values contains duplicates: {raw!r}")
     if axis == "layer" and min(values) < 1:
@@ -519,9 +529,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run = _Run(args)
     values = _parse_axis_values(args.axis, args.values)
     config = RewireConfig.from_json(args.config)
-    queries = load_dataset(args.dataset)
-    if not queries:
-        raise InputError(f"{args.dataset}: dataset is empty")
+    queries = _load_queries(args.dataset)
     entity_names = load_entities(args.entities)
     k_values = (1, 10)
     # Sweeps probe the state the config selects for probing; a config
@@ -579,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap on queries sampled per relation")
     curate.add_argument("--seed", type=int, default=0)
     _add_out(curate)
-    curate.set_defaults(func=cmd_curate, _command="curate", _parser=curate)
+    curate.set_defaults(func=cmd_curate, _parser=curate)
 
     rewire = sub.add_parser(
         "rewire", help="contrastively train an encoder on tail-masked sentences")
@@ -593,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
             rewire.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                                 default=None, help=f"override {f.name} from the config file")
     _add_out(rewire)
-    rewire.set_defaults(func=cmd_rewire, _command="rewire", _parser=rewire)
+    rewire.set_defaults(func=cmd_rewire, _parser=rewire)
 
     probe = sub.add_parser("probe", help="rank answers for each query")
     probe.add_argument("--encoder",
@@ -613,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--refine", choices=("order",), default=None)
     probe.add_argument("--max-refine-iters", type=int, default=5)
     _add_out(probe)
-    probe.set_defaults(func=cmd_probe, _command="probe", _parser=probe)
+    probe.set_defaults(func=cmd_probe, _parser=probe)
 
     ev = sub.add_parser("eval", help="score predictions against gold answers")
     ev.add_argument("--predictions", required=True, help="prediction JSONL")
@@ -625,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--length-bins",
                     help="comma-separated answer-length bin edges, e.g. 10,20")
     _add_out(ev)
-    ev.set_defaults(func=cmd_eval, _command="eval", _parser=ev)
+    ev.set_defaults(func=cmd_eval, _parser=ev)
 
     sweep = sub.add_parser(
         "sweep", help="repeat rewire/probe/eval along one axis and merge CSVs")
@@ -640,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no effect; kept only because perfbench's demo command still passes it
     sweep.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     _add_out(sweep)
-    sweep.set_defaults(func=cmd_sweep, _command="sweep", _parser=sweep)
+    sweep.set_defaults(func=cmd_sweep, _parser=sweep)
     return parser
 
 

@@ -769,12 +769,19 @@ def _parse_kv(body: str, where: str) -> dict[str, int]:
     return out
 
 
+def _spec_body(spec: str, what: str, expected: str) -> str:
+    """The body of a "kind:body" model spec whose form expected gives, such
+    as "table-mlm:PATH"; a PATH body must not be empty."""
+    kind, form = expected.split(":")
+    got, _, body = spec.partition(":")
+    if got != kind or (form == "PATH" and not body):
+        raise ConfigurationError(f"unknown {what} spec {spec!r} (expected {expected})")
+    return body
+
+
 def encoder_from_spec(spec: str) -> EncoderHandle:
     """Build an encoder from a spec string such as "reference:dim=128,seed=7"."""
-    kind, _, body = spec.partition(":")
-    if kind != "reference":
-        raise ConfigurationError(f"unknown encoder spec {spec!r} (expected reference:...)")
-    kwargs = _parse_kv(body, spec)
+    kwargs = _parse_kv(_spec_body(spec, "encoder", "reference:..."), spec)
     allowed = {"dim", "seed", "layers", "feature_dim"}
     unknown = set(kwargs) - allowed
     if unknown:
@@ -783,14 +790,8 @@ def encoder_from_spec(spec: str) -> EncoderHandle:
 
 
 def mlm_from_spec(spec: str) -> MLMHeadHandle:
-    kind, _, body = spec.partition(":")
-    if kind != "table-mlm" or not body:
-        raise ConfigurationError(f"unknown MLM spec {spec!r} (expected table-mlm:PATH)")
-    return TableMLM.from_json(body)
+    return TableMLM.from_json(_spec_body(spec, "MLM", "table-mlm:PATH"))
 
 
 def generator_from_spec(spec: str) -> GeneratorHandle:
-    kind, _, body = spec.partition(":")
-    if kind != "table-generator" or not body:
-        raise ConfigurationError(f"unknown generator spec {spec!r} (expected table-generator:PATH)")
-    return TableGenerator.from_json(body)
+    return TableGenerator.from_json(_spec_body(spec, "generator", "table-generator:PATH"))

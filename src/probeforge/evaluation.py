@@ -12,7 +12,6 @@ fixed entity vocabulary.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from bisect import bisect_right
@@ -25,7 +24,7 @@ import numpy as np
 from .curator import ProbeQuery
 from .errors import InputError, ValidationError
 from .probers import RankedPrediction
-from .text import match_norm, read_json, write_csv
+from .text import match_norm, read_json, read_lines, write_csv
 
 DEFAULT_K_VALUES = (1, 10)
 PERFECT_SCORE = 5
@@ -308,12 +307,7 @@ def save_annotations(annotations: Iterable[ExpertAnnotation], path) -> None:
 
 
 def load_annotations(path) -> list[ExpertAnnotation]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read annotations from {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(read_lines(path, "annotations"))
     if reader.fieldnames != ["query_id", "candidate", "score"]:
         raise ValidationError(
             f"{path}: expected header query_id,candidate,score, "

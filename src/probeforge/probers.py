@@ -119,7 +119,7 @@ class EntityIndex:
     def __post_init__(self):
         object.__setattr__(self, "entity_names", tuple(self.entity_names))
         if not self.entity_names:
-            raise ValidationError("entity index has no entities")
+            raise InputError("entity vocabulary is empty")
         seen: set[str] = set()
         dups = []
         for name in self.entity_names:
@@ -146,10 +146,7 @@ def build_entity_index(encoder: EncoderHandle, entity_names: Sequence[str],
     """The vocabulary entity_names, checked and frozen for probing with
     encoder at layer_limit (default: every layer). Nothing is encoded here;
     contrastive_probe encodes the names, one tile at a time."""
-    names = tuple(entity_names)
-    if not names:
-        raise InputError("entity vocabulary is empty")
-    return EntityIndex(names, encoder.identity, encoder.resolve_layer_limit(layer_limit))
+    return EntityIndex(entity_names, encoder.identity, encoder.resolve_layer_limit(layer_limit))
 
 
 def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,

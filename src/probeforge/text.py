@@ -7,10 +7,13 @@ Two normalizations coexist on purpose: answer handling collapses case and
 whitespace only, while match scoring additionally strips punctuation hanging
 off the ends of the string.
 
-Every reader follows one error rule. A file that cannot be read, or is not
-valid UTF-8, raises InputError. Text that is not JSON, or a value of the
+Every reader decodes through _file_lines, the one place that opens a file
+to read text, and follows one error rule. A leading UTF-8 byte-order mark,
+as spreadsheet exports write, is skipped. A file that cannot be read, or is
+not valid UTF-8, raises InputError. Text that is not JSON, or a value of the
 wrong kind or shape, raises ValidationError naming the file (and the line,
-for JSONL).
+for JSONL). evaluation.save_report is the one text writer outside this module,
+because report.json keeps its field order rather than sorting its keys.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def read_lines(source, what: str) -> Iterable[str]:
 
 def _file_lines(path, what: str) -> Iterator[str]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} from {path}: {exc}") from exc
@@ -110,11 +113,7 @@ def read_json(path, what: str, kind: type = dict):
     """The document of a UTF-8 JSON file, whose top-level value must be a kind:
     dict for a JSON object, list for an array."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads("".join(_file_lines(path, what)))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, kind):

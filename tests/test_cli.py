@@ -311,6 +311,18 @@ def test_probe_rejects_rewire_dir_whose_manifest_is_not_json(tmp_path, curated, 
     assert "manifest.json: invalid JSON" in err
 
 
+def test_probe_rejects_rewire_dir_without_a_probe_step(tmp_path, curated, rewired,
+                                                       capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(rewired, copy)
+    config = json.loads((copy / "rewire_config.json").read_text())
+    (copy / "rewire_config.json").write_text(
+        json.dumps({**config, "probe_checkpoint_step": 0}))
+    err = _probe_rewire_dir_error(copy, curated, tmp_path / "probe", capsys)
+    assert err == (f"probeforge: error: {copy / 'rewire_config.json'}: "
+                   "probe_checkpoint_step is 0; pass a checkpoint directory\n")
+
+
 def test_probe_rejects_rewire_dir_without_manifest(tmp_path, curated, rewired,
                                                    config_path, monkeypatch, capsys):
     copy = tmp_path / "copy"
@@ -532,6 +544,90 @@ def test_bad_input_file_exits_one(tmp_path, curated, probed, config_path, capsys
     assert "bad_input" in err
 
 
+PROBE = ["probe", "--dataset", "{dataset}", "--strategy"]
+SWEEP = ["sweep", "--encoder", ENCODER_SPEC, "--corpus", CORPUS, "--config", "{config}",
+         "--dataset", "{dataset}", "--entities", ENTITIES, "--axis"]
+
+ARGV_ERRORS = {
+    # case -> (argv, exit code, message); {empty} is an empty file, {nothing}
+    # a path that does not exist, {two_tails} a triple file of one head with
+    # two tails
+    "eval:k-empty": ([*EVAL, "--k", " , "], 1, "--k must list at least one integer"),
+    "eval:k-not-integers": (
+        [*EVAL, "--k", "1,x"], 1, "--k: expected comma-separated integers, got '1,x'"),
+    "eval:length-bins-not-integers": (
+        [*EVAL, "--length-bins", "10,2.5"], 1,
+        "--length-bins: expected comma-separated integers, got '10,2.5'"),
+    "eval:split-empty": (
+        ["eval", "--predictions", "{empty}", "--dataset", "{empty}"], 1,
+        "no queries in the full split"),
+    "curate:no-query-survives": (
+        ["curate", "--triples", "{two_tails}", "--max-answers", "1"], 1,
+        "{two_tails}: no queries survived curation"),
+    "probe:checkpoint-is-neither": (
+        [*PROBE, "contrastive", "--checkpoint", "{nothing}", "--entities", ENTITIES], 1,
+        "{nothing} holds neither a checkpoint nor a rewire run"),
+    "probe:dataset-empty": (
+        ["probe", "--dataset", "{empty}", "--strategy", "contrastive",
+         "--encoder", ENCODER_SPEC, "--entities", ENTITIES], 1,
+        "{empty}: dataset is empty"),
+    "probe:entities-empty": (
+        [*PROBE, "contrastive", "--encoder", ENCODER_SPEC, "--entities", "{empty}"], 1,
+        "entity vocabulary is empty"),
+    "probe:encoder-key-without-value": (
+        [*PROBE, "contrastive", "--encoder", "reference:dim", "--entities", ENTITIES], 1,
+        "reference:dim: expected key=value, got 'dim'"),
+    "probe:entities-required": (
+        [*PROBE, "contrastive", "--encoder", ENCODER_SPEC], 2,
+        "--entities is required with --candidate-scope full"),
+    "probe:checkpoint-with-mask-predict": (
+        [*PROBE, "mask-predict", "--encoder", STUB_MLM, "--checkpoint", "{nothing}"], 2,
+        "--checkpoint only applies to contrastive probing"),
+    "probe:mask-average-without-encoder": (
+        [*PROBE, "mask-average"], 2, "--encoder is required for mask-average probing"),
+    "sweep:values-empty": (
+        [*SWEEP, "layer", "--values", ","], 1, "--values must list at least one value"),
+    "sweep:values-not-numbers": (
+        [*SWEEP, "mask-ratio", "--values", "0.5,x"], 1,
+        "--values: could not parse '0.5,x' for axis mask-ratio"),
+    "sweep:values-duplicated": (
+        [*SWEEP, "layer", "--values", "1, 1"], 1, "--values contains duplicates: '1, 1'"),
+    "sweep:layer-zero": (
+        [*SWEEP, "layer", "--values", "0,1"], 1, "layer sweep values must be >= 1"),
+    "sweep:checkpoint-step-negative": (
+        [*SWEEP, "checkpoint-step", "--values=-10,10"], 1,
+        "checkpoint-step values must be >= 0"),
+    "sweep:seed-negative": (
+        [*SWEEP, "seed", "--values=-1,2"], 1, "seed values must be >= 0"),
+    "sweep:dataset-empty": (
+        ["sweep", "--encoder", ENCODER_SPEC, "--corpus", CORPUS, "--config", "{config}",
+         "--dataset", "{empty}", "--entities", ENTITIES, "--axis", "layer",
+         "--values", "1"], 1, "{empty}: dataset is empty"),
+}
+
+
+@pytest.mark.parametrize("case", list(ARGV_ERRORS))
+def test_bad_argv_exits_with_its_message(tmp_path, curated, probed, config_path, capsys,
+                                         case):
+    argv, code, message = ARGV_ERRORS[case]
+    (tmp_path / "empty").write_text("")
+    (tmp_path / "two_tails").write_text("Aspirin\tmay_treat\tpain\n"
+                                        "Aspirin\tmay_treat\tfever\n")
+    paths = {"dataset": curated / "full.jsonl", "predictions": probed / "predictions.jsonl",
+             "config": config_path, "empty": tmp_path / "empty",
+             "nothing": tmp_path / "nothing", "two_tails": tmp_path / "two_tails"}
+    argv = [arg.format(**paths) for arg in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        # argparse prints the usage line, then the error
+        assert err.splitlines()[-1].endswith(f" error: {message}")
+    else:
+        assert err == f"probeforge: error: {message.format(**paths)}\n"
+    assert not out.exists()
+
+
 UNWRITABLE_OUT = {
     # command -> argv without --out
     "curate": ["curate", "--triples", TRIPLES],
@@ -637,6 +733,31 @@ def test_rerun_refuses_a_manifest_that_lists_a_path_outside_out(tmp_path, curate
     assert f"bad output name {entry!r}" in err[0]
     assert victim.read_text() == "keep me"
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_rerun_refuses_a_manifest_without_an_outputs_list(tmp_path, curated, probed,
+                                                          capsys):
+    out = tmp_path / "eval"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({"outputs": "report.json"}))
+    code = main(["eval", "--predictions", str(probed / "predictions.jsonl"),
+                 "--dataset", str(curated / "full.jsonl"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"probeforge: error: {out / 'manifest.json'}: no outputs list\n")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_rerun_removes_stale_partial_files(tmp_path):
+    out = tmp_path / "curated"
+    (out / "notes").mkdir(parents=True)
+    # files a killed run left staged, at the top and further down
+    (out / "full.jsonl.partial").write_text('{"query_id": "q')
+    (out / "notes" / "draft.csv.partial").write_text("relation_id,")
+    assert main(["curate", "--triples", TRIPLES, "--out", str(out)]) == 0
+    assert not list(out.rglob("*.partial"))
+    assert (out / "notes").is_dir()
+    assert len(load_dataset(out / "full.jsonl")) == 54
 
 
 def test_rewire_rerun_clears_a_failed_run_s_staged_checkpoint(tmp_path, curated,
@@ -882,6 +1003,22 @@ def test_eval_unknown_query_exits_one(tmp_path, curated, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "zz-ghost" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_mixed_strategies_exit_one(tmp_path, curated, capsys):
+    first, second = load_dataset(curated / "full.jsonl")[:2]
+    mixed = tmp_path / "mixed.jsonl"
+    save_predictions([RankedPrediction(first.query_id, (("x", 1.0),), "contrastive"),
+                      RankedPrediction(second.query_id, (("x", 1.0),), "generate")],
+                     mixed)
+    code = main(["eval", "--predictions", str(mixed),
+                 "--dataset", str(curated / "full.jsonl"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"probeforge: error: {mixed}: predictions mix strategies "
+        "['contrastive', 'generate']\n")
     assert not (tmp_path / "eval").exists()
 
 

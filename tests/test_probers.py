@@ -89,6 +89,13 @@ def test_index_rejects_duplicate_names():
         EntityIndex(("Aspirin", "ASPIRIN", "aspirin"), "enc", 1)
 
 
+def test_index_rejects_an_empty_vocabulary():
+    for build in (lambda: EntityIndex((), "enc", 1),
+                  lambda: build_entity_index(make_encoder(), [])):
+        with pytest.raises(InputError, match="^entity vocabulary is empty$"):
+            build()
+
+
 @pytest.mark.parametrize("weight", [0.0, np.nan], ids=["zero", "nan"])
 def test_degenerate_embedding_is_numerical_error(weight):
     encoder = make_encoder()

@@ -8,13 +8,13 @@ import pytest
 
 import probeforge
 from probeforge.cli import main
-from probeforge.curator import ProbeQuery, save_dataset
+from probeforge.curator import ProbeQuery, load_dataset, load_triples, save_dataset
 from probeforge.encoders import ReferenceEncoder, save_checkpoint
 from probeforge.errors import InputError, ValidationError
 from probeforge.evaluation import (EvalReport, ExpertAnnotation, RelationScore,
-                                   save_annotations, save_report)
-from probeforge.probers import RankedPrediction, save_predictions
-from probeforge.rewire import RewireConfig
+                                   load_annotations, save_annotations, save_report)
+from probeforge.probers import RankedPrediction, load_entities, save_predictions
+from probeforge.rewire import RewireConfig, sample_sentences
 from probeforge import text
 from probeforge.text import read_json, read_lines, sha256_file
 
@@ -52,6 +52,38 @@ def test_read_lines_passes_iterables_through(tmp_path):
     path.write_bytes(b"a\n\xff\n")
     with pytest.raises(InputError, match="cannot read lines"):
         list(read_lines(path, "lines"))
+
+
+BOM = b"\xef\xbb\xbf"
+BOM_READERS = {
+    # reader -> (file name, load(path), write the plain file at path)
+    "triples": ("triples.tsv", load_triples,
+                lambda p: p.write_text("Aspirin\tmay_treat\tpain\n", encoding="utf-8")),
+    "entities": ("entities.txt", load_entities,
+                 lambda p: p.write_text("Aspirin\nIbuprofen\n", encoding="utf-8")),
+    "corpus": ("corpus.txt", lambda p: sample_sentences(p, 2, seed=0),
+               lambda p: p.write_text("Aspirin may relieve a mild headache .\n"
+                                      "Ibuprofen may relieve a mild fever .\n",
+                                      encoding="utf-8")),
+    "dataset": ("full.jsonl", load_dataset,
+                lambda p: save_dataset([ProbeQuery("q1", "r", "Aspirin", "Aspirin is [MASK] .",
+                                                   ["pain"], True)], p)),
+    "rewire-config": ("rewire.json", RewireConfig.from_json,
+                      lambda p: RewireConfig(seed=3).to_json(p)),
+    "annotations": ("annotations.csv", load_annotations,
+                    lambda p: save_annotations([ExpertAnnotation("q1", "pain", 5)], p)),
+}
+
+
+@pytest.mark.parametrize("reader", list(BOM_READERS))
+def test_readers_skip_a_leading_byte_order_mark(tmp_path, reader):
+    # spreadsheet exports start UTF-8 text with U+FEFF
+    name, load, write = BOM_READERS[reader]
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    write(plain)
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert load(plain)
+    assert load(marked) == load(plain)
 
 
 # ---------------------------------------------------------------------------
