@@ -27,7 +27,7 @@ from .evaluation import (EvalReport, aggregate, bin_by_answer_length,
                          expert_rescore, load_annotations, save_report,
                          score_predictions, stability_summary, step_curves,
                          write_report_csv, write_step_curves_csv)
-from .probers import (DEFAULT_NUM_MASKS, MASK_STRATEGIES, RankedPrediction,
+from .probers import (DEFAULT_NUM_MASKS, MASK_STRATEGIES, EntityIndex, RankedPrediction,
                       build_entity_index, contrastive_probe, generate_probe,
                       load_entities, load_predictions, mask_average_rank,
                       mask_predict_detail, save_predictions)
@@ -302,8 +302,8 @@ def _probe_contrastive(args, queries: Sequence[ProbeQuery]):
     encoder, source = _contrastive_encoder(args)
 
     def rank(names, group):
-        index = build_entity_index(encoder, names, layer_limit=args.layer_limit)
-        return contrastive_probe(encoder, index, group, args.k)
+        return contrastive_probe(encoder, build_entity_index(names), group, args.k,
+                                 layer_limit=args.layer_limit)
 
     try:
         return _probe_in_scope(args, queries, rank), encoder.identity
@@ -346,6 +346,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise ConfigurationError("--k must be >= 1")
     if args.checkpoint and args.strategy != "contrastive":
         args._parser.error("--checkpoint only applies to contrastive probing")
+    if args.layer_limit is not None and args.strategy != "contrastive":
+        args._parser.error("--layer-limit only applies to contrastive probing")
     if args.strategy != "contrastive" and not args.encoder:
         args._parser.error(f"--encoder is required for {args.strategy} probing")
     queries = _load_queries(args.dataset)
@@ -471,17 +473,16 @@ def _parse_axis_values(axis: str, raw: str):
     return values
 
 
-def _sweep_report(encoder: EncoderHandle, queries, entity_names, layer_limit,
+def _sweep_report(encoder: EncoderHandle, queries, index: EntityIndex, layer_limit,
                   k_values, metadata) -> EvalReport:
-    index = build_entity_index(encoder, entity_names, layer_limit=layer_limit)
-    predictions = contrastive_probe(encoder, index, queries, max(k_values))
+    predictions = contrastive_probe(encoder, index, queries, max(k_values), layer_limit)
     hits = score_predictions(predictions, queries, k_values)
     return aggregate(hits, k_values, model=encoder.identity,
                      strategy="contrastive", split="full", metadata=metadata)
 
 
 def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, queries,
-                 entity_names, k_values) -> dict[int, EvalReport | None]:
+                 index: EntityIndex, k_values) -> dict[int, EvalReport | None]:
     """Report of each (step, position, layer limit, metadata) point, by position.
 
     Points that share a training config share one encoder, trained once
@@ -499,7 +500,7 @@ def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, querie
                 pairs = _masked_pairs(corpus, config)
             rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0))
         deep_enough = layer_limit is None or layer_limit <= encoder.max_layers
-        reports[i] = (_sweep_report(encoder, queries, entity_names, layer_limit,
+        reports[i] = (_sweep_report(encoder, queries, index, layer_limit,
                                     k_values, metadata) if deep_enough else None)
     return reports
 
@@ -530,7 +531,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_axis_values(args.axis, args.values)
     config = RewireConfig.from_json(args.config)
     queries = _load_queries(args.dataset)
-    entity_names = load_entities(args.entities)
+    index = build_entity_index(load_entities(args.entities))
     k_values = (1, 10)
     # Sweeps probe the state the config selects for probing; a config
     # without a probe step is probed after the full training budget.
@@ -545,7 +546,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     reports = {}
     for cfg, points in groups.values():
         reports.update(_sweep_group(args.encoder, args.corpus, cfg, points, queries,
-                                    entity_names, k_values))
+                                    index, k_values))
     kept = [i for i in range(len(values)) if reports[i] is not None]
     skipped = [v for i, v in enumerate(values) if reports[i] is None]
 

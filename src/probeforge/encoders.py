@@ -100,14 +100,15 @@ def _validate_texts(texts) -> list[str]:
     return texts
 
 
-def unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of matrix scaled to unit L2 norm, and their norms. A zero or
-    non-finite norm raises NumericalError naming what."""
+def unit_rows(matrix: np.ndarray, what: str, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of matrix scaled to unit L2 norm, written to out when given
+    (out may be matrix), and their norms. A zero or non-finite norm raises
+    NumericalError naming what."""
     # the sum np.linalg.norm(matrix, axis=1) takes, less its copy of matrix
     norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
     if not (np.isfinite(norms).all() and (norms > 0).all()):
         raise NumericalError(f"{what} contains a zero or non-finite row norm")
-    return matrix / norms[:, None], norms
+    return np.divide(matrix, norms[:, None], out=out), norms
 
 
 def _reserved(array: np.ndarray, used: int, size: int, dtype=None) -> np.ndarray:
@@ -209,6 +210,8 @@ class ReferenceEncoder(EncoderHandle):
             raise ConfigurationError("layers must be >= 1")
         if feature_dim < dim:
             raise ConfigurationError("feature_dim must be >= dim")
+        if seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         self.dim = int(dim)
         self.seed = int(seed)
         self.feature_dim = int(feature_dim)
@@ -755,13 +758,14 @@ class TableGenerator(GeneratorHandle):
 # model spec strings (CLI surface)
 
 def _parse_kv(body: str, where: str) -> dict[str, int]:
+    """key=value integers; blank items are skipped, a repeated key raises."""
     out = {}
-    if not body:
-        return out
-    for part in body.split(","):
+    for part in filter(str.strip, body.split(",")):
         if "=" not in part:
             raise ConfigurationError(f"{where}: expected key=value, got {part!r}")
         key, value = part.split("=", 1)
+        if key.strip() in out:
+            raise ConfigurationError(f"{where}: key {key.strip()!r} given twice")
         try:
             out[key.strip()] = int(value)
         except ValueError as exc:

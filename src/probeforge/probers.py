@@ -9,10 +9,11 @@ caller.
 
 Retrieval is exact: every query is scored against every entity, and the
 top k come out ordered by descending score with ties going to the lower
-entity index. The entity index is the frozen vocabulary alone; the probe
-encodes it. Queries are encoded first, then the entities one tile at a
-time: near-equal runs of at most TILE_ENTITIES names, each encoded just
-before it is scored and dropped before the next. Names and queries are
+entity index. The entity index holds the checked vocabulary's names alone,
+so any encoder may probe it. The probe takes the layer limit and checks it
+before it encodes anything, then encodes the queries, then the entities one
+tile at a time: near-equal runs of at most TILE_ENTITIES names, each encoded
+just before it is scored and dropped before the next. Names and queries are
 encoded in groups of at most BLOCK_BYTES of feature_dim-wide float64 rows,
 and a ReferenceEncoder featurizes a group's distinct texts into trigram runs
 that live for the call alone (its feature store holds training texts only,
@@ -66,17 +67,15 @@ def _encode_width(encoder: EncoderHandle) -> int:
 def _encode_units(encoder: EncoderHandle, texts: list[str], layer_limit: int) -> np.ndarray:
     """Unit-norm embeddings of texts, encoded one group at a time."""
     group = max(1, BLOCK_BYTES // (8 * _encode_width(encoder)))
-    parts = near_equal_slices(len(texts), group)
+    vectors = np.empty((len(texts), encoder.embedding_dim))
     # weights that overflow leave a non-finite row, which unit_rows reports
     # in one error, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(parts) == 1:
-            # one group needs no array to gather the groups in
-            return unit_rows(encoder.encode(texts, layer_limit=layer_limit), "encoded texts")[0]
-        vectors = np.empty((len(texts), encoder.embedding_dim))
-        for part in parts:
-            vectors[part], _ = unit_rows(encoder.encode(texts[part], layer_limit=layer_limit),
-                                         "encoded texts")
+        for part in near_equal_slices(len(texts), group):
+            # scaled in place, so a group's rows exist once beside vectors
+            rows = vectors[part]
+            rows[...] = encoder.encode(texts[part], layer_limit=layer_limit)
+            unit_rows(rows, "encoded texts", out=rows)
     return vectors
 
 
@@ -107,14 +106,12 @@ class RankedPrediction:
 
 @dataclass(frozen=True)
 class EntityIndex:
-    """Frozen entity vocabulary, with the identity of the encoder state and
-    the layer limit it is probed at. It holds no embeddings: contrastive_probe
-    encodes the names one tile at a time, so the index costs one reference
-    per name, not one row, and each probe of it encodes the names anew."""
+    """Frozen entity vocabulary, its names checked unique after
+    normalization. It holds no embeddings: contrastive_probe encodes the
+    names one tile at a time, so the index costs one reference per name, not
+    one row, and any encoder, at any layer limit, may probe it."""
 
     entity_names: tuple[str, ...]
-    encoder_identity: str
-    layer_limit: int
 
     def __post_init__(self):
         object.__setattr__(self, "entity_names", tuple(self.entity_names))
@@ -141,22 +138,23 @@ def load_entities(path) -> list[str]:
     return [name for line in read_lines(path, "entities") if (name := line.strip())]
 
 
-def build_entity_index(encoder: EncoderHandle, entity_names: Sequence[str],
-                       layer_limit: int | None = None) -> EntityIndex:
-    """The vocabulary entity_names, checked and frozen for probing with
-    encoder at layer_limit (default: every layer). Nothing is encoded here;
-    contrastive_probe encodes the names, one tile at a time."""
-    return EntityIndex(entity_names, encoder.identity, encoder.resolve_layer_limit(layer_limit))
+def build_entity_index(entity_names: Sequence[str]) -> EntityIndex:
+    """The vocabulary entity_names, checked and frozen for probing. Nothing
+    is encoded here; contrastive_probe encodes the names, one tile at a time."""
+    return EntityIndex(entity_names)
 
 
 def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
-                      queries: Sequence[ProbeQuery], k: int) -> list[RankedPrediction]:
+                      queries: Sequence[ProbeQuery], k: int,
+                      layer_limit: int | None = None) -> list[RankedPrediction]:
     """Rank index entities by cosine similarity to each encoded query.
 
-    The index must come from the same encoder state it is probed with.
-    Each prediction holds the min(k, len(index)) entities with the highest
-    scores, ordered by descending score; equal scores keep index order, so
-    the result equals sorting every entity by (-score, entity index).
+    Queries and names pass through the first layer_limit layers of encoder
+    (default: every layer); a layer limit outside the encoder's depth raises
+    ConfigurationError before anything is encoded. Each prediction holds the
+    min(k, len(index)) entities with the highest scores, ordered by
+    descending score; equal scores keep index order, so the result equals
+    sorting every entity by (-score, entity index).
     Queries are encoded first. Then, for each tile of at most TILE_ENTITIES
     entities, in index order, the tile's names are encoded and scored
     against every block of queries: a block holds as many queries as keep
@@ -172,20 +170,16 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     No entity row outlives the call, so a caller that probes one index
     with several query lists pays for encoding the vocabulary on each call.
     """
-    if encoder.identity != index.encoder_identity:
-        raise ConfigurationError(
-            f"index was built by {index.encoder_identity!r} "
-            f"but the probing encoder is {encoder.identity!r}"
-        )
+    limit = encoder.resolve_layer_limit(layer_limit)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     top = min(k, len(index))
-    encoded = _encode_units(encoder, [q.query_text for q in queries], index.layer_limit)
+    encoded = _encode_units(encoder, [q.query_text for q in queries], limit)
     blocks, tiles = _score_tiles(len(queries), len(index))
     names = index.entity_names
     tops = [_RunningTop.empty(block.stop - block.start) for block in blocks]
     for tile in tiles:
-        entities = _encode_units(encoder, list(names[tile]), index.layer_limit)
+        entities = _encode_units(encoder, list(names[tile]), limit)
         for b, block in enumerate(blocks):
             tops[b] = _merge_tile(tops[b], encoded[block] @ entities.T, tile.start, top)
         # dropped before the next tile is encoded, so one tile is alive at a time

@@ -171,13 +171,13 @@ def test_criterion_04_retrieval_matches_exhaustive_ranking():
     queries = [ProbeQuery(f"q{i:03d}", "rel", "h", phrase(6), ["x"])
                for i in range(100)]
     encoder = ReferenceEncoder(dim=16, seed=5, layers=2, feature_dim=256)
-    index = build_entity_index(encoder, names)
+    index = build_entity_index(names)
     predictions = contrastive_probe(encoder, index, queries, 10)
 
     encoded = encoder.encode([q.query_text for q in queries],
-                             layer_limit=index.layer_limit)
+                             layer_limit=encoder.max_layers)
     unit = encoded / np.linalg.norm(encoded, axis=1, keepdims=True)
-    entities, _ = unit_rows(encoder.encode(names, layer_limit=index.layer_limit), "names")
+    entities, _ = unit_rows(encoder.encode(names, layer_limit=encoder.max_layers), "names")
     sims = unit @ entities.T
     for i, pred in enumerate(predictions):
         order = sorted(range(len(names)), key=lambda j: (-sims[i, j], j))[:10]
@@ -202,7 +202,7 @@ def test_criterion_05_rewiring_lifts_retrieval(tmp_path):
     entities = load_entities(FIXTURES / "entities.txt")
 
     encoder = encoder_from_spec(DEMO_ENCODER_SPEC)
-    baseline = contrastive_probe(encoder, build_entity_index(encoder, entities),
+    baseline = contrastive_probe(encoder, build_entity_index(entities),
                                  queries, 10)
     base_acc = micro_acc_at_10(baseline, queries)
 
@@ -216,7 +216,7 @@ def test_criterion_05_rewiring_lifts_retrieval(tmp_path):
 
     probe_dir = tmp_path / "run" / "checkpoints" / f"step_{config.probe_checkpoint_step:05d}"
     trained = load_checkpoint(probe_dir)
-    post = contrastive_probe(trained, build_entity_index(trained, entities),
+    post = contrastive_probe(trained, build_entity_index(entities),
                              queries, 10)
     post_acc = micro_acc_at_10(post, queries)
     assert post_acc - base_acc >= 0.10, (base_acc, post_acc)

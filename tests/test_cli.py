@@ -577,12 +577,32 @@ ARGV_ERRORS = {
     "probe:encoder-key-without-value": (
         [*PROBE, "contrastive", "--encoder", "reference:dim", "--entities", ENTITIES], 1,
         "reference:dim: expected key=value, got 'dim'"),
+    "probe:encoder-seed-negative": (
+        [*PROBE, "contrastive", "--encoder", "reference:dim=64,seed=-3",
+         "--entities", ENTITIES], 1, "seed must be >= 0"),
+    "probe:encoder-key-repeated": (
+        [*PROBE, "contrastive", "--encoder", "reference:dim=16,dim=64",
+         "--entities", ENTITIES], 1, "reference:dim=16,dim=64: key 'dim' given twice"),
+    "probe:layer-limit-beyond-the-encoder": (
+        [*PROBE, "contrastive", "--encoder", ENCODER_SPEC, "--entities", ENTITIES,
+         "--layer-limit", "7"], 1,
+        "layer_limit 7 outside [1, 2] for reference(dim=32,seed=3,layers=2,feature_dim=512)"
+        "@step0"),
+    "rewire:encoder-seed-negative": (
+        ["rewire", "--encoder", "reference:seed=-1", "--corpus", CORPUS,
+         "--config", "{config}"], 1, "seed must be >= 0"),
     "probe:entities-required": (
         [*PROBE, "contrastive", "--encoder", ENCODER_SPEC], 2,
         "--entities is required with --candidate-scope full"),
     "probe:checkpoint-with-mask-predict": (
         [*PROBE, "mask-predict", "--encoder", STUB_MLM, "--checkpoint", "{nothing}"], 2,
         "--checkpoint only applies to contrastive probing"),
+    "probe:layer-limit-with-mask-predict": (
+        [*PROBE, "mask-predict", "--encoder", STUB_MLM, "--layer-limit", "7"], 2,
+        "--layer-limit only applies to contrastive probing"),
+    "probe:layer-limit-with-generate": (
+        [*PROBE, "generate", "--encoder", STUB_GENERATOR, "--layer-limit", "1"], 2,
+        "--layer-limit only applies to contrastive probing"),
     "probe:mask-average-without-encoder": (
         [*PROBE, "mask-average"], 2, "--encoder is required for mask-average probing"),
     "sweep:values-empty": (
@@ -908,6 +928,19 @@ def test_probe_lone_surrogate_query_exits_one(tmp_path, curated, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_probe_layer_limit_is_applied_at_probe_time(tmp_path, curated):
+    queries = load_dataset(curated / "full.jsonl")
+    out = tmp_path / "probe"
+    assert main(["probe", "--encoder", ENCODER_SPEC, "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--strategy", "contrastive", "--layer-limit", "1",
+                 "--out", str(out)]) == 0
+    assert read_manifest(out)["config"]["layer_limit"] == 1
+    index = build_entity_index(load_entities(ENTITIES))
+    limited, full_depth = (contrastive_probe(encoder_from_spec(ENCODER_SPEC), index, queries,
+                                             10, layer_limit=limit) for limit in (1, 2))
+    assert load_predictions(out / "predictions.jsonl") == limited != full_depth
+
+
 def test_probe_mask_predict_stub(tmp_path, curated):
     out = tmp_path / "mp"
     code = main(["probe", "--encoder", STUB_MLM,
@@ -1155,6 +1188,34 @@ def test_sweep_worker_error_exits_one(tmp_path, curated, capsys):
     assert not out.exists()
 
 
+def test_sweep_checks_its_entity_names_before_training(tmp_path, curated, config_path,
+                                                       monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "rewire_train", lambda *args, **kwargs: calls.append(args))
+    entities = tmp_path / "entities.txt"
+    entities.write_text("Aspirin\nIbuprofen\n  ASPIRIN \n")
+    argv = _sweep_argv("seed", "7,8", curated, config_path, "1", tmp_path / "seeds")
+    argv[argv.index(ENTITIES)] = str(entities)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("probeforge: error: duplicate entity names after "
+                                       "normalization: ASPIRIN\n")
+    assert calls == []
+    assert not (tmp_path / "seeds").exists()
+
+
+def test_sweep_builds_its_index_once(tmp_path, curated, config_path, monkeypatch):
+    builds = []
+
+    def counting_build(names):
+        builds.append(len(names))
+        return build_entity_index(names)
+
+    monkeypatch.setattr(cli, "build_entity_index", counting_build)
+    argv = _sweep_argv("layer", "2,1", curated, config_path, "1", tmp_path / "layers")
+    assert main(argv) == 0
+    assert builds == [len(load_entities(ENTITIES))]
+
+
 def test_sweep_mask_ratio_axis(tmp_path, curated, config_path):
     out = tmp_path / "ratios"
     assert main(_sweep_argv("mask-ratio", "0.7,0.3", curated, config_path, "1", out)) == 0
@@ -1173,7 +1234,7 @@ def _oracle_pairs(config: RewireConfig):
 
 
 def _oracle_report(encoder, queries, metadata: dict):
-    index = build_entity_index(encoder, load_entities(ENTITIES))
+    index = build_entity_index(load_entities(ENTITIES))
     hits = score_predictions(contrastive_probe(encoder, index, queries, 10), queries)
     return aggregate(hits, (1, 10), model=encoder.identity, strategy="contrastive",
                      metadata=metadata)

@@ -598,6 +598,25 @@ def test_encoder_spec_errors(spec):
         encoder_from_spec(spec)
 
 
+def test_encoder_spec_rejects_a_repeated_key():
+    # the last value does not silently win
+    with pytest.raises(ConfigurationError,
+                       match=r"^reference:dim=16, dim=64: key 'dim' given twice$"):
+        encoder_from_spec("reference:dim=16, dim=64")
+
+
+@pytest.mark.parametrize("spec", ["reference:dim=32,seed=7,", "reference:,dim=32, ,seed=7"])
+def test_encoder_spec_skips_blank_items(spec):
+    # as the CLI's comma lists do
+    assert encoder_from_spec(spec).identity == encoder_from_spec(
+        "reference:dim=32,seed=7").identity
+
+
+def test_negative_seed_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="^seed must be >= 0$"):
+        ReferenceEncoder(dim=8, seed=-3)
+
+
 def test_mlm_and_generator_specs(tmp_path):
     mlm_path = tmp_path / "m.json"
     mlm_path.write_text(json.dumps(one_hot_mlm().to_json()))

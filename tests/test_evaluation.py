@@ -434,8 +434,9 @@ def test_sweep_csv_writers(tmp_path):
     encoder = encoder_from_spec(spec)
     expected = [["layer_limit", "macro_acc1", "macro_acc10"]]
     for layer in (3, 1):
-        index = build_entity_index(encoder, load_entities(entities), layer_limit=layer)
-        hits = score_predictions(contrastive_probe(encoder, index, queries, 10), queries)
+        index = build_entity_index(load_entities(entities))
+        hits = score_predictions(contrastive_probe(encoder, index, queries, 10,
+                                                   layer_limit=layer), queries)
         report = aggregate(hits, (1, 10))
         expected.append([str(layer), f"{report.macro[1]:.6f}", f"{report.macro[10]:.6f}"])
     assert read_csv(tmp_path / "sweep" / "layer_sweep.csv") == expected

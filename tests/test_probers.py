@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from probeforge.encoders import (
     TableGenerator,
     TableMLM,
     near_equal_slices,
+    unit_rows,
 )
 from probeforge.errors import (
     ConfigurationError,
@@ -56,42 +58,39 @@ SMALL_VOCAB = ["Aspirin", "Ibuprofen", "Morphine"]
 # entity index
 
 def test_build_index_encodes_nothing():
-    # the probe encodes the names, one tile at a time
-    encoder = make_encoder()
-    with mock.patch.object(encoder, "encode", side_effect=AssertionError("encoded")):
-        index = build_entity_index(encoder, SMALL_VOCAB)
+    # the index is the names alone; the probe encodes them, one tile at a time
+    index = build_entity_index(SMALL_VOCAB)
     assert len(index) == 3
     assert index.entity_names == tuple(SMALL_VOCAB)
-    assert index.layer_limit == encoder.max_layers
+    assert [f.name for f in dataclasses.fields(EntityIndex)] == ["entity_names"]
 
 
 def test_rebuild_is_byte_identical():
     queries = [make_query("pain relief"), make_query("fever [MASK] .", qid="q-1")]
-    first = build_entity_index(make_encoder(), SMALL_VOCAB)
-    second = build_entity_index(make_encoder(), SMALL_VOCAB)
+    first = build_entity_index(SMALL_VOCAB)
+    second = build_entity_index(SMALL_VOCAB)
     assert (contrastive_probe(make_encoder(), first, queries, k=3)
             == contrastive_probe(make_encoder(), second, queries, k=3))
-    assert first.encoder_identity == second.encoder_identity
 
 
 def test_empty_vocabulary_is_an_error():
     with pytest.raises(InputError):
-        build_entity_index(make_encoder(), [])
+        build_entity_index([])
 
 
 def test_duplicate_names_are_listed():
     with pytest.raises(InputError, match="aspirin"):
-        build_entity_index(make_encoder(), ["Aspirin", "  aspirin "])
+        build_entity_index(["Aspirin", "  aspirin "])
 
 
 def test_index_rejects_duplicate_names():
     with pytest.raises(InputError, match="ASPIRIN, aspirin"):
-        EntityIndex(("Aspirin", "ASPIRIN", "aspirin"), "enc", 1)
+        EntityIndex(("Aspirin", "ASPIRIN", "aspirin"))
 
 
 def test_index_rejects_an_empty_vocabulary():
-    for build in (lambda: EntityIndex((), "enc", 1),
-                  lambda: build_entity_index(make_encoder(), [])):
+    for build in (lambda: EntityIndex(()),
+                  lambda: build_entity_index([])):
         with pytest.raises(InputError, match="^entity vocabulary is empty$"):
             build()
 
@@ -100,7 +99,7 @@ def test_index_rejects_an_empty_vocabulary():
 def test_degenerate_embedding_is_numerical_error(weight):
     encoder = make_encoder()
     encoder.w_in[:] = weight
-    index = build_entity_index(encoder, SMALL_VOCAB)
+    index = build_entity_index(SMALL_VOCAB)
     with pytest.raises(NumericalError, match="zero or non-finite"):
         contrastive_probe(encoder, index, [make_query("pain relief")], k=1)
 
@@ -109,7 +108,7 @@ def test_degenerate_embedding_is_numerical_error(weight):
 def test_degenerate_entity_row_fails_the_probe(bad):
     # every entity row the probe scores passes through unit_rows
     encoder = TableEncoder({"query": [1.0, 0.0], "a": [1.0, 0.0], "b": [bad, 0.0]})
-    index = build_entity_index(encoder, ["a", "b"])
+    index = build_entity_index(["a", "b"])
     with pytest.raises(NumericalError, match="zero or non-finite"):
         contrastive_probe(encoder, index, [make_query("query")], k=1)
 
@@ -146,7 +145,7 @@ def test_load_entities_unreadable_is_input_error(tmp_path):
 
 def test_query_equal_to_entity_ranks_it_first():
     encoder = make_encoder()
-    index = build_entity_index(encoder, SMALL_VOCAB)
+    index = build_entity_index(SMALL_VOCAB)
     pred, = contrastive_probe(encoder, index, [make_query("Ibuprofen")], k=3)
     assert pred.candidates[0][0] == "Ibuprofen"
     assert pred.candidates[0][1] == pytest.approx(1.0, abs=1e-9)
@@ -155,17 +154,38 @@ def test_query_equal_to_entity_ranks_it_first():
 
 def test_k_beyond_vocabulary_returns_everything_ordered():
     encoder = make_encoder()
-    index = build_entity_index(encoder, SMALL_VOCAB)
+    index = build_entity_index(SMALL_VOCAB)
     pred, = contrastive_probe(encoder, index, [make_query("pain relief")], k=50)
     assert len(pred.candidates) == 3
     scores = [s for _, s in pred.candidates]
     assert scores == sorted(scores, reverse=True)
 
 
-def test_identity_mismatch_is_rejected():
-    index = build_entity_index(make_encoder(seed=3), SMALL_VOCAB)
-    with pytest.raises(ConfigurationError, match="identity|built by"):
-        contrastive_probe(make_encoder(seed=4), index, [make_query("x")], k=1)
+def test_one_index_serves_every_encoder_and_layer_limit():
+    # the index holds no rows, so each probe encodes the names itself
+    index = build_entity_index(SMALL_VOCAB)
+    queries = [make_query("pain relief"), make_query("fever [MASK] .", qid="q-1")]
+    for encoder in (make_encoder(seed=3), make_encoder(seed=4, layers=3)):
+        for limit in range(1, encoder.max_layers + 1):
+            probed = contrastive_probe(encoder, index, queries, k=3, layer_limit=limit)
+            encoded, _ = unit_rows(encoder.encode([q.query_text for q in queries],
+                                                  layer_limit=limit), "queries")
+            entities, _ = unit_rows(encoder.encode(SMALL_VOCAB, layer_limit=limit), "names")
+            sims = encoded @ entities.T
+            for row, pred in zip(sims, probed):
+                order = sorted(range(len(SMALL_VOCAB)), key=lambda j: (-row[j], j))
+                assert pred.candidates == tuple((SMALL_VOCAB[j], float(row[j]))
+                                                for j in order)
+
+
+@pytest.mark.parametrize("limit", [0, 3])
+def test_layer_limit_is_checked_before_anything_is_encoded(limit):
+    encoder = make_encoder()
+    index = build_entity_index(SMALL_VOCAB)
+    with mock.patch.object(encoder, "encode", side_effect=AssertionError("encoded")):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^layer_limit {limit} outside \[1, 2\] for "):
+            contrastive_probe(encoder, index, [make_query("x")], k=1, layer_limit=limit)
 
 
 def test_retrieval_matches_exhaustive_sort():
@@ -173,7 +193,7 @@ def test_retrieval_matches_exhaustive_sort():
     rng = np.random.default_rng(17)
     names = [f"entity{i} variant{i * 7 % 13}" for i in range(60)]
     encoder = make_encoder()
-    index = build_entity_index(encoder, names)
+    index = build_entity_index(names)
     queries = [make_query(f"finding {rng.integers(1_000_000)} links to [MASK] .",
                           qid=f"q-{i}") for i in range(100)]
     predictions = contrastive_probe(encoder, index, queries, k=10)
@@ -191,14 +211,14 @@ def test_retrieval_matches_exhaustive_sort():
 def test_exact_ties_break_by_entity_position():
     encoder = TableEncoder({"zeta term": [0.6, 0.8], "alpha term": [0.6, 0.8],
                             "anything": [1.0, 2.0]})
-    index = build_entity_index(encoder, ["zeta term", "alpha term"])
+    index = build_entity_index(["zeta term", "alpha term"])
     pred, = contrastive_probe(encoder, index, [make_query("anything")], k=2)
     assert [c for c, _ in pred.candidates] == ["zeta term", "alpha term"]
 
 
 def test_topk_is_a_prefix_of_the_full_ranking():
     encoder = make_encoder()
-    index = build_entity_index(encoder, [f"name number {i}" for i in range(20)])
+    index = build_entity_index([f"name number {i}" for i in range(20)])
     queries = [make_query("some probe text [MASK] .")]
     full, = contrastive_probe(encoder, index, queries, k=20)
     for j in (1, 3, 7):
@@ -214,11 +234,11 @@ class ScaledEncoder(ReferenceEncoder):
 def test_positive_scaling_keeps_rankings():
     names = [f"entity {i} of note" for i in range(15)]
     queries = [make_query(f"query {i} asks [MASK] .", qid=f"q-{i}") for i in range(5)]
-    plain = contrastive_probe(make_encoder(), build_entity_index(make_encoder(), names),
+    plain = contrastive_probe(make_encoder(), build_entity_index(names),
                               queries, k=15)
     scaled_encoder = ScaledEncoder(dim=32, seed=3, layers=2, feature_dim=512)
     scaled = contrastive_probe(scaled_encoder,
-                               build_entity_index(scaled_encoder, names),
+                               build_entity_index(names),
                                queries, k=15)
     for a, b in zip(plain, scaled):
         assert [c for c, _ in a.candidates] == [c for c, _ in b.candidates]
@@ -282,7 +302,7 @@ def test_blocked_topk_equals_exhaustive_oracle(case):
     table = {f"query {i}": v for i, v in enumerate(vectors)}
     table.update(zip(names, index_rows))
     encoder = TableEncoder(table)
-    index = build_entity_index(encoder, names)
+    index = build_entity_index(names)
     queries = [make_query(f"query {i}", qid=f"q-{i}") for i in range(len(vectors))]
     # entity tiles of at most tile_width entities and query blocks of a few
     # rows, so runs of tied scores straddle both; a score takes 16 bytes,
@@ -323,11 +343,11 @@ def test_blocking_keeps_index_and_rankings():
     queries = [make_query(f"finding {i} links to [MASK] .", qid=f"q-{i}") for i in range(25)]
     encoder = make_encoder()
     whole_rows = probers._encode_units(encoder, names, encoder.max_layers)
-    whole = contrastive_probe(encoder, build_entity_index(encoder, names), queries, k=12)
+    whole = contrastive_probe(encoder, build_entity_index(names), queries, k=12)
     # 512-wide feature rows: eight names or queries per block
     with mock.patch.object(probers, "BLOCK_BYTES", 8 * 512 * 8):
         blocked_rows = probers._encode_units(encoder, names, encoder.max_layers)
-        blocked = contrastive_probe(encoder, build_entity_index(encoder, names), queries, k=12)
+        blocked = contrastive_probe(encoder, build_entity_index(names), queries, k=12)
     # BLAS may round a short block differently, so floats are compared to
     # within rounding; the rankings must agree exactly
     np.testing.assert_allclose(blocked_rows, whole_rows, rtol=0, atol=1e-12)
@@ -348,7 +368,7 @@ def test_ranking_memory_stays_within_one_block():
     for n in (4_096, 65_536):
         names = [f"entity {i}" for i in range(n)]
         encoder = TableEncoder({**query_rows, **dict(zip(names, rng.standard_normal((n, dim))))})
-        index = build_entity_index(encoder, names)
+        index = build_entity_index(names)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -374,7 +394,7 @@ def test_entity_rows_live_one_tile_at_a_time():
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            index = build_entity_index(encoder, names)
+            index = build_entity_index(names)
             held, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             predictions = contrastive_probe(encoder, index, queries, k=3)
@@ -388,7 +408,7 @@ def test_entity_rows_live_one_tile_at_a_time():
 
 def test_bad_k_and_empty_queries():
     encoder = make_encoder()
-    index = build_entity_index(encoder, SMALL_VOCAB)
+    index = build_entity_index(SMALL_VOCAB)
     with pytest.raises(ValidationError):
         contrastive_probe(encoder, index, [make_query("x")], k=0)
     assert contrastive_probe(encoder, index, [], k=5) == []
