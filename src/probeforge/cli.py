@@ -36,7 +36,14 @@ from .rewire import (MaskedPair, RewireConfig, checkpoint_name, rewire_train,
 from .text import collapse_norm, read_json, write_csv, write_json
 
 CACHE_ENV = "PROBEFORGE_CACHE"
-PROBE_STRATEGIES = ("contrastive", "mask-predict", "mask-average", "generate")
+# each probing strategy and the optional probe flags it reads; any other
+# flag must keep its default
+PROBE_STRATEGIES = {
+    "contrastive": ("encoder", "checkpoint", "entities", "k", "layer_limit", "candidate_scope"),
+    "mask-predict": ("encoder", "num_masks", "fill_strategy", "refine", "max_refine_iters"),
+    "mask-average": ("encoder", "entities", "k", "candidate_scope"),
+    "generate": ("encoder", "k"),
+}
 SWEEP_AXES = ("layer", "mask-ratio", "checkpoint-step", "seed")
 MANIFEST_NAME = "manifest.json"
 REWIRE_CONFIG_NAME = "rewire_config.json"
@@ -342,12 +349,14 @@ def _probe_generate(args, queries: Sequence[ProbeQuery]):
 
 def cmd_probe(args: argparse.Namespace) -> int:
     run = _Run(args)
+    reads = PROBE_STRATEGIES[args.strategy]
+    for flag in dict.fromkeys(sum(PROBE_STRATEGIES.values(), ())):
+        if flag not in reads and getattr(args, flag) != args._parser.get_default(flag):
+            *others, last = [s for s, r in PROBE_STRATEGIES.items() if flag in r]
+            args._parser.error(f"--{flag.replace('_', '-')} only applies to "
+                               f"{', '.join(others) + ' and ' if others else ''}{last} probing")
     if args.k < 1:
         raise ConfigurationError("--k must be >= 1")
-    if args.checkpoint and args.strategy != "contrastive":
-        args._parser.error("--checkpoint only applies to contrastive probing")
-    if args.layer_limit is not None and args.strategy != "contrastive":
-        args._parser.error("--layer-limit only applies to contrastive probing")
     if args.strategy != "contrastive" and not args.encoder:
         args._parser.error(f"--encoder is required for {args.strategy} probing")
     queries = _load_queries(args.dataset)

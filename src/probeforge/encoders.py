@@ -32,6 +32,8 @@ from .errors import ConfigurationError, InputError, NumericalError, ValidationEr
 from .text import read_json, sha256_file, write_json
 
 SIDECAR_NAME = "sidecar.json"
+# most bytes of feature_dim-wide float64 rows in one ReferenceEncoder.encode group
+ENCODE_GROUP_BYTES = 8 * 2**20
 # most texts whose dense feature rows ReferenceEncoder.encode builds at once;
 # near-equal slices of a larger batch hold more than half as many, which with
 # OpenBLAS keeps the demo encoder's outputs bit-identical to one product over
@@ -64,7 +66,9 @@ class EncoderHandle(ABC):
         """Embed texts using only the first layer_limit layers.
 
         Weights and the training cache are left alone, and nothing is kept
-        per text: memory after the call does not grow with the texts encoded.
+        per text. Beyond a list of the texts and the (len(texts),
+        embedding_dim) result, a new array the caller may write, working
+        memory does not grow with the number of texts.
         """
 
     @abstractmethod
@@ -390,11 +394,20 @@ class ReferenceEncoder(EncoderHandle):
         return states, tanhs
 
     def encode(self, texts, layer_limit=None):
-        """See EncoderHandle.encode. The dense feature rows are built at most
-        ENCODE_SLICE texts at a time, each slice over the columns the whole
-        batch touches, so only one slice of them is alive at a time."""
+        """See EncoderHandle.encode. Near-equal groups of at most
+        ENCODE_GROUP_BYTES of feature_dim-wide rows fill the result in turn."""
         limit = self.resolve_layer_limit(layer_limit)
         texts = _validate_texts(texts)
+        vectors = np.empty((len(texts), self.dim))
+        group = max(1, ENCODE_GROUP_BYTES // (8 * self.feature_dim))
+        for part in near_equal_slices(len(texts), group):
+            vectors[part] = self._encode_group(texts[part], limit)
+        return vectors
+
+    def _encode_group(self, texts: list[str], limit: int) -> np.ndarray:
+        """encode for one group, whose runs, w_cols and layer states are freed
+        on return. Its dense feature rows are built ENCODE_SLICE texts at a
+        time, each slice over the columns the whole group touches."""
         row_of = {text: i for i, text in enumerate(dict.fromkeys(texts))}
         runs = self._featurize(list(row_of))
         batch = self._gather(runs, row_of, texts)

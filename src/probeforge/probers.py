@@ -10,20 +10,10 @@ caller.
 Retrieval is exact: every query is scored against every entity, and the
 top k come out ordered by descending score with ties going to the lower
 entity index. The entity index holds the checked vocabulary's names alone,
-so any encoder may probe it. The probe takes the layer limit and checks it
-before it encodes anything, then encodes the queries, then the entities one
-tile at a time: near-equal runs of at most TILE_ENTITIES names, each encoded
-just before it is scored and dropped before the next. Names and queries are
-encoded in groups of at most BLOCK_BYTES of feature_dim-wide float64 rows,
-and a ReferenceEncoder featurizes a group's distinct texts into trigram runs
-that live for the call alone (its feature store holds training texts only,
-so encoding keeps nothing per text) and builds the group's dense feature
-rows one slice of at most ENCODE_SLICE texts at a time. Each tile is scored
-against as many queries as keep a tile of scores and the copy k-selection
-makes of it within TILE_BYTES, and each query keeps a running exact top k
-across the tiles. So retrieval's working memory is one tile of entity rows,
-one encode group's runs and slice or one score tile and its partition copy,
-the query embeddings and the top-k lists, whatever the vocabulary size.
+so any encoder may probe it. Its working memory does not grow with the
+vocabulary: the probe owns the entity tiles and query blocks it scores
+(contrastive_probe), and the encoder owns the groups and slices it encodes
+a list of texts in (EncoderHandle.encode).
 """
 
 from __future__ import annotations
@@ -47,9 +37,6 @@ from .text import collapse_norm, read_lines, read_records, write_jsonl
 
 DEFAULT_NUM_MASKS = 5
 MASK_STRATEGIES = ("independent", "order", "confidence")
-# most bytes of feature_dim-wide float64 rows one encode group may span; a
-# group's texts share the columns their trigrams touch
-BLOCK_BYTES = 8 * 2**20
 # most entities one score tile spans; near-equal tiles of a larger index are
 # at least half as wide, which with OpenBLAS keeps each score bit-identical
 # to the one a product over the whole index gives
@@ -58,25 +45,13 @@ TILE_ENTITIES = 4096
 TILE_BYTES = 2 * 2**20
 
 
-def _encode_width(encoder: EncoderHandle) -> int:
-    # an encode group spans at most feature_dim columns; an encoder without
-    # input features is bounded by its embedding width instead
-    return getattr(encoder, "feature_dim", encoder.embedding_dim)
-
-
 def _encode_units(encoder: EncoderHandle, texts: list[str], layer_limit: int) -> np.ndarray:
-    """Unit-norm embeddings of texts, encoded one group at a time."""
-    group = max(1, BLOCK_BYTES // (8 * _encode_width(encoder)))
-    vectors = np.empty((len(texts), encoder.embedding_dim))
+    """Unit-norm embeddings of texts, scaled in place in encode's result."""
     # weights that overflow leave a non-finite row, which unit_rows reports
     # in one error, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for part in near_equal_slices(len(texts), group):
-            # scaled in place, so a group's rows exist once beside vectors
-            rows = vectors[part]
-            rows[...] = encoder.encode(texts[part], layer_limit=layer_limit)
-            unit_rows(rows, "encoded texts", out=rows)
-    return vectors
+        vectors = encoder.encode(texts, layer_limit=layer_limit)
+        return unit_rows(vectors, "encoded texts", out=vectors)[0]
 
 
 @dataclass(frozen=True)
@@ -159,8 +134,9 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     entities, in index order, the tile's names are encoded and scored
     against every block of queries: a block holds as many queries as keep
     their scores against the tile, and the copy np.partition makes of
-    them, within TILE_BYTES. So memory is bounded by one tile of entity
-    rows and one encode group, or one score tile and its copy, on top of
+    them, within TILE_BYTES. The probe owns these tiles and blocks and the
+    encoder its groups and slices, so memory is one tile of entity rows and
+    one encode's working arrays, or one score tile and its copy, on top of
     the query embeddings and the top-k lists, whatever the vocabulary size.
     Each query keeps a running top k across the tiles: k-selection in a
     tile sets each row's floor, and only the scores at or above the floor,

@@ -625,6 +625,27 @@ ARGV_ERRORS = {
          "--values", "1"], 1, "{empty}: dataset is empty"),
 }
 
+# a probe flag set away from its default with a strategy that does not read
+# it: flag -> (a value, the strategies that read it)
+PROBE_FLAG_READERS = {
+    "checkpoint": ("{nothing}", "contrastive"),
+    "entities": (ENTITIES, "contrastive and mask-average"),
+    "k": ("3", "contrastive, mask-average and generate"),
+    "layer-limit": ("1", "contrastive"),
+    "candidate-scope": ("relation", "contrastive and mask-average"),
+    "num-masks": ("9", "mask-predict"),
+    "fill-strategy": ("confidence", "mask-predict"),
+    "refine": ("order", "mask-predict"),
+    "max-refine-iters": ("2", "mask-predict"),
+}
+for strategy, encoder in [("contrastive", ENCODER_SPEC), ("mask-predict", STUB_MLM),
+                          ("mask-average", STUB_MLM), ("generate", STUB_GENERATOR)]:
+    for flag, (value, readers) in PROBE_FLAG_READERS.items():
+        if strategy not in readers.replace(",", "").split():
+            ARGV_ERRORS.setdefault(f"probe:{flag}-with-{strategy}", (
+                [*PROBE, strategy, "--encoder", encoder, f"--{flag}", value], 2,
+                f"--{flag} only applies to {readers} probing"))
+
 
 @pytest.mark.parametrize("case", list(ARGV_ERRORS))
 def test_bad_argv_exits_with_its_message(tmp_path, curated, probed, config_path, capsys,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probeforge.encoders import (
+    ENCODE_GROUP_BYTES,
     ReferenceEncoder,
     TableGenerator,
     TableMLM,
@@ -18,6 +19,7 @@ from probeforge.encoders import (
     generator_from_spec,
     load_checkpoint,
     mlm_from_spec,
+    near_equal_slices,
     save_checkpoint,
 )
 from probeforge.errors import ConfigurationError, InputError, ValidationError
@@ -316,6 +318,46 @@ def test_sliced_encode_equals_the_whole_batch_product(n_texts):
     for block in enc.blocks:
         state = state + np.tanh(state @ block)
     assert enc.encode(texts).tobytes() == state.tobytes()
+
+
+SYLLABLES = ["ka", "lo", "mi", "ne", "ru", "sa", "to", "vi", "ze", "pu", "da", "fe"]
+
+
+def syllable_vocabulary(n, seed=0):
+    """n distinct entity-like names of a few seeded syllables each."""
+    rng = np.random.default_rng(seed)
+    return ["".join(rng.choice(SYLLABLES, size=rng.integers(2, 6))) + " "
+            + "".join(rng.choice(SYLLABLES, size=3)) + f" {i}" for i in range(n)]
+
+
+def test_encode_equals_its_groups_encoded_one_by_one():
+    # 2048-wide feature rows put 512 texts in a group, so 1,100 texts are
+    # encoded as three near-equal groups, each over its own touched columns
+    enc = ReferenceEncoder(dim=64, seed=7, layers=2, feature_dim=2048)
+    texts = syllable_vocabulary(1_100)
+    parts = near_equal_slices(len(texts), ENCODE_GROUP_BYTES // (8 * enc.feature_dim))
+    assert len(parts) == 3
+    grouped = np.concatenate([enc.encode(texts[part]) for part in parts])
+    assert enc.encode(texts).tobytes() == grouped.tobytes()
+
+
+@pytest.mark.parametrize("layers", [2, 12])
+def test_encode_memory_beyond_its_result_is_bounded(layers):
+    # one group of 512 texts through 12 layers keeps 25 (512, 64) states and
+    # activations, about 6.3 MiB, beside one slice of dense feature rows and
+    # the group's rows of w_in; none of it grows with the batch
+    enc = ReferenceEncoder(dim=64, seed=7, layers=layers, feature_dim=2048)
+    for n in (2_000, 20_000):
+        texts = syllable_vocabulary(n)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            vectors = enc.encode(texts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape == (n, 64)
+        assert peak - start - vectors.nbytes <= ENCODE_GROUP_BYTES, n
 
 
 def test_training_step_changes_outputs_and_identity():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probeforge import probers
+from probeforge import encoders, probers
 from probeforge.curator import ProbeQuery, load_triples
 from probeforge.encoders import (
     EncoderHandle,
@@ -344,8 +344,8 @@ def test_blocking_keeps_index_and_rankings():
     encoder = make_encoder()
     whole_rows = probers._encode_units(encoder, names, encoder.max_layers)
     whole = contrastive_probe(encoder, build_entity_index(names), queries, k=12)
-    # 512-wide feature rows: eight names or queries per block
-    with mock.patch.object(probers, "BLOCK_BYTES", 8 * 512 * 8):
+    # 512-wide feature rows: eight names or queries per encode group
+    with mock.patch.object(encoders, "ENCODE_GROUP_BYTES", 8 * 512 * 8):
         blocked_rows = probers._encode_units(encoder, names, encoder.max_layers)
         blocked = contrastive_probe(encoder, build_entity_index(names), queries, k=12)
     # BLAS may round a short block differently, so floats are compared to
