@@ -153,7 +153,7 @@ def build_stub_generator(rng, queries, entities):
         items = [(gold[q.query_id], 0.9)]
         items += [(d, round(0.6 - 0.05 * i, 4)) for i, d in enumerate(pool)]
         by_query[q.query_text] = items
-    return {"default": default, "by_query": by_query, "max_new_tokens": 8}
+    return {"default": default, "by_query": by_query}
 
 
 def main():

@@ -167,6 +167,17 @@ def instantiate_prompt(template: PromptTemplate, head_name: str) -> str:
     return text[:y_pos] + MASK_PLACEHOLDER + text[y_pos + len("[Y]"):]
 
 
+def mask_slot(query_text: str) -> int:
+    """The index of the mask placeholder among the whitespace tokens of
+    query_text, where it must stand exactly once, as a token of its own; the
+    mask-filling and generation probes need it so. Else ValidationError."""
+    tokens = query_text.split()
+    if query_text.count(MASK_PLACEHOLDER) != 1 or MASK_PLACEHOLDER not in tokens:
+        raise ValidationError(f"query {query_text!r} must contain {MASK_PLACEHOLDER!r} "
+                              "exactly once, as a whitespace token of its own")
+    return tokens.index(MASK_PLACEHOLDER)
+
+
 def _relation_stream_seed(relation_id: str) -> int:
     return int.from_bytes(hashlib.sha256(relation_id.encode("utf-8")).digest()[:4], "big")
 
@@ -216,10 +227,7 @@ def group_queries(triples: Iterable[KnowledgeTriple],
         template = templates[rel]
         for head, tails in entries:
             query_text = instantiate_prompt(template, head)
-            if query_text.count(MASK_PLACEHOLDER) != 1:
-                raise ValidationError(
-                    f"query for head {head!r} does not contain the mask placeholder exactly once"
-                )
+            mask_slot(query_text)
             queries.append(ProbeQuery(
                 query_id=_query_id(rel, head),
                 relation_id=rel,
@@ -308,8 +316,7 @@ def load_dataset(path) -> list[ProbeQuery]:
     def build(query_id, relation_id, head_name, query_text, answers, hard):
         if not all(isinstance(a, str) for a in answers):
             raise ValidationError("field has wrong type")
-        if query_text.count(MASK_PLACEHOLDER) != 1:
-            raise ValidationError(f"query_text must contain {MASK_PLACEHOLDER!r} exactly once")
+        mask_slot(query_text)
         return ProbeQuery(query_id, relation_id, head_name, query_text, answers, hard)
 
     return read_records(path, "dataset", {

@@ -32,13 +32,9 @@ from .errors import ConfigurationError, InputError, NumericalError, ValidationEr
 from .text import read_json, sha256_file, write_json
 
 SIDECAR_NAME = "sidecar.json"
-# most bytes of feature_dim-wide float64 rows in one ReferenceEncoder.encode group
-ENCODE_GROUP_BYTES = 8 * 2**20
-# most texts whose dense feature rows ReferenceEncoder.encode builds at once;
-# near-equal slices of a larger batch hold more than half as many, which with
-# OpenBLAS keeps the demo encoder's outputs bit-identical to one product over
-# the whole batch
-ENCODE_SLICE = 128
+# most bytes of feature_dim-wide float64 rows in one ReferenceEncoder.encode
+# group, which builds its dense feature rows in one product
+ENCODE_GROUP_BYTES = 2 * 2**20
 
 
 class EncoderHandle(ABC):
@@ -151,17 +147,6 @@ class _Runs(NamedTuple):
     norms: np.ndarray
 
 
-class _Gathered(NamedTuple):
-    """Where a batch's trigrams sit in the runs it reads."""
-
-    ids: np.ndarray       # each text's row in the runs
-    lengths: np.ndarray   # each text's number of distinct trigrams
-    at: np.ndarray        # the run position of each trigram, text by text
-    buckets: np.ndarray   # each trigram's bucket, as intp
-    remap: np.ndarray     # touched bucket -> its column in the rows
-    cols: np.ndarray      # the touched buckets, ascending
-
-
 class _TrainCache(NamedTuple):
     """What forward_train keeps for the one backward_train that follows."""
 
@@ -194,10 +179,10 @@ class ReferenceEncoder(EncoderHandle):
     plus one float64 norm per text. That is 3 bytes per stored trigram for
     feature_dim <= 65,536 while no count passes 255; the normalized values
     are rebuilt per batch. encode neither reads nor writes the store: it
-    featurizes its call's distinct texts into runs of the same layout that
-    live for the call alone, so inference over a large vocabulary keeps
-    nothing per text. Both paths build feature rows from their runs the same
-    way, so a text's rows are bit-identical either way.
+    featurizes each group's distinct texts into runs of the same layout that
+    live for the group alone, so inference over a large vocabulary keeps
+    nothing per text. Both paths build feature rows from their runs with
+    _dense, so a text's rows are bit-identical either way.
 
     The identity string embeds the constructor arguments and the number of
     SGD steps taken, so two handles compare equal exactly when their
@@ -253,9 +238,18 @@ class ReferenceEncoder(EncoderHandle):
     def max_layers(self) -> int:
         return len(self.blocks)
 
-    def _gather(self, runs: _Runs, row_of: dict[str, int], texts: list[str]) -> _Gathered:
-        """Where the trigrams of texts sit in runs, text t's at row row_of[t],
-        and the columns they fill."""
+    def _dense(self, runs: _Runs, row_of: dict[str, int],
+               texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols): unit-norm trigram counts of texts, text t's read from
+        row row_of[t] of runs, on the buckets the texts touch.
+
+        cols is the ascending array of touched buckets and rows the
+        (len(texts), len(cols)) matrix of their values, so rows scattered back
+        at cols is the dense (len(texts), feature_dim) batch. Each value is
+        its count over its text's norm; counts are small integers, so the sum
+        of squares is exact in any order and every value is bit-identical to
+        normalizing the dense count row.
+        """
         ids = np.fromiter(map(row_of.__getitem__, texts), dtype=np.intp, count=len(texts))
         starts = runs.indptr[ids]
         lengths = runs.indptr[ids + 1] - starts
@@ -271,43 +265,22 @@ class ReferenceEncoder(EncoderHandle):
         # touched bucket -> its column in rows
         remap = np.empty(self.feature_dim, dtype=np.intp)
         remap[cols] = np.arange(len(cols))
-        return _Gathered(ids, lengths, at, buckets, remap, cols)
-
-    @staticmethod
-    def _rows(runs: _Runs, batch: _Gathered, part: slice) -> np.ndarray:
-        """The (len(part), len(batch.cols)) feature rows of the texts part of
-        a batch gathered from runs: each value is its count over its text's
-        norm. Counts are small integers, so the sum of squares is exact in
-        any order and every value is bit-identical to normalizing the dense
-        count row."""
-        lengths = batch.lengths[part]
-        # the part's trigrams, in at and buckets
-        first = int(batch.lengths[:part.start].sum())
-        trigrams = slice(first, first + int(lengths.sum()))
-        rows = np.zeros((len(lengths), len(batch.cols)))
+        rows = np.zeros((len(texts), len(cols)))
         # each trigram's flat position in rows: its text's row start plus its column
-        flat = np.repeat(np.arange(len(lengths)) * len(batch.cols), lengths)
-        flat += batch.remap[batch.buckets[trigrams]]
-        rows.ravel()[flat] = (runs.counts[batch.at[trigrams]]
-                              / np.repeat(runs.norms[batch.ids[part]], lengths))
-        return rows
+        flat = np.repeat(np.arange(len(texts)) * len(cols), lengths)
+        flat += remap[buckets]
+        rows.ravel()[flat] = runs.counts[at] / np.repeat(runs.norms[ids], lengths)
+        return rows, cols
 
     def _features(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols): unit-norm trigram counts on the buckets the batch
-        touches, read from the feature store, to which texts not yet in it
-        are added first.
-
-        cols is the ascending array of buckets some text touches and rows the
-        (len(texts), len(cols)) matrix of their values, so rows scattered back
-        at cols is the dense (len(texts), feature_dim) batch.
-        """
+        """_dense's (rows, cols) of texts read from the feature store, to
+        which texts not yet in it are added first."""
         row_of = self._row_of
         if not all(map(row_of.__contains__, texts)):
             new = [t for t in dict.fromkeys(texts) if t not in row_of]
             self._append(new, self._featurize(new))
         store = _Runs(self._indptr, self._buckets, self._counts, self._norms)
-        batch = self._gather(store, row_of, texts)
-        return self._rows(store, batch, slice(0, len(texts))), batch.cols
+        return self._dense(store, row_of, texts)
 
     def _featurize(self, texts: list[str]) -> _Runs:
         """The trigram runs of texts, row i for texts[i]. Only the encoder's
@@ -405,16 +378,13 @@ class ReferenceEncoder(EncoderHandle):
         return vectors
 
     def _encode_group(self, texts: list[str], limit: int) -> np.ndarray:
-        """encode for one group, whose runs, w_cols and layer states are freed
-        on return. Its dense feature rows are built ENCODE_SLICE texts at a
-        time, each slice over the columns the whole group touches."""
+        """encode for one group: one product of its dense feature rows with
+        the rows of w_in they touch. The runs and the feature rows are freed
+        before the blocks run, the layer states on return."""
         row_of = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-        runs = self._featurize(list(row_of))
-        batch = self._gather(runs, row_of, texts)
-        w_cols = self.w_in[batch.cols]
-        state = np.empty((len(texts), self.dim))
-        for part in near_equal_slices(len(texts), ENCODE_SLICE):
-            state[part] = self._rows(runs, batch, part) @ w_cols
+        rows, cols = self._dense(self._featurize(list(row_of)), row_of, texts)
+        state = rows @ self.w_in[cols]
+        del rows
         return self._layers(state, limit)[0][-1]
 
     def forward_train(self, texts, layer_limit=None):
@@ -597,12 +567,16 @@ def load_checkpoint(ckpt_dir) -> EncoderHandle:
 
 
 @contextmanager
-def _table_fields(path, what: str) -> Iterator[dict]:
+def _table_fields(path, what: str, keys: set[str]) -> Iterator[dict]:
     """The JSON object of a table-model file, for a block that reads its fields.
     A file that is unreadable or not UTF-8 raises InputError; text that is
-    not a JSON object, a field the block finds missing or mistyped, or a value
-    the model rejects raises ValidationError naming the file."""
+    not a JSON object, a top-level key outside keys, a field the block finds
+    missing or mistyped, or a value the model rejects raises ValidationError
+    naming the file."""
     data = read_json(path, what)
+    unknown = set(data) - keys
+    if unknown:
+        raise ValidationError(f"{path}: unknown {what} keys {sorted(unknown)}")
     try:
         yield data
     except KeyError as exc:
@@ -719,7 +693,8 @@ class TableMLM(MLMHeadHandle):
 
     @classmethod
     def from_json(cls, path) -> "TableMLM":
-        with _table_fields(path, "MLM table") as data:
+        with _table_fields(path, "MLM table",
+                           {"vocab", "default", "rules", "mask_token"}) as data:
             return cls(vocab=data["vocab"], default=data["default"],
                        rules=data.get("rules", ()),
                        mask_token=data.get("mask_token", "[MASK]"),
@@ -762,7 +737,7 @@ class TableGenerator(GeneratorHandle):
 
     @classmethod
     def from_json(cls, path) -> "TableGenerator":
-        with _table_fields(path, "generator table") as data:
+        with _table_fields(path, "generator table", {"default", "by_query"}) as data:
             return cls(default=data["default"], by_query=data.get("by_query"),
                        identity=f"table-generator:{Path(path).name}")
 

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .curator import MASK_PLACEHOLDER, ProbeQuery
+from .curator import ProbeQuery, mask_slot
 from .encoders import (EncoderHandle, GeneratorHandle, MLMHeadHandle,
                        near_equal_slices, unit_rows)
 from .errors import (
@@ -241,15 +241,8 @@ class MaskPredictResult(NamedTuple):
 
 
 def _expand_placeholder(query: str, mask_token: str, num_masks: int) -> tuple[list[str], list[int]]:
-    # the placeholder must stand alone as a whitespace token
+    at = mask_slot(query)
     tokens = query.split()
-    slots = [i for i, t in enumerate(tokens) if t == MASK_PLACEHOLDER]
-    if len(slots) != 1:
-        raise ValidationError(
-            f"query must contain {MASK_PLACEHOLDER!r} exactly once "
-            f"as its own token, found {len(slots)}"
-        )
-    at = slots[0]
     expanded = tokens[:at] + [mask_token] * num_masks + tokens[at + 1:]
     # a stray mask token elsewhere in the text would misalign rows and slots
     if expanded.count(mask_token) != num_masks:
@@ -391,10 +384,7 @@ def generate_probe(generator: GeneratorHandle, query: ProbeQuery, k: int) -> Ran
     and truncate to k."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if MASK_PLACEHOLDER not in query.query_text.split():
-        raise ValidationError(
-            f"query {query.query_id!r} has no {MASK_PLACEHOLDER!r} token"
-        )
+    mask_slot(query.query_text)
     try:
         raw = generator.generate(query.query_text)
     except Exception as exc:

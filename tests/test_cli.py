@@ -476,11 +476,16 @@ def _mlm_rule_position(position) -> str:
 
 
 EVAL = ["eval", "--predictions", "{predictions}", "--dataset", "{dataset}"]
+GOOD_QUERY = {"query_id": "q", "relation_id": "may_treat", "head_name": "H",
+              "query_text": "H might treat [MASK] .", "answers": ["a"], "hard": False}
 BAD_CONFIG = ["rewire", "--encoder", ENCODER_SPEC, "--corpus", CORPUS, "--config", "{bad}"]
 BAD_TEMPLATES = ["curate", "--triples", TRIPLES, "--templates", "{bad}"]
+BAD_DATASET = [*EVAL[:-1], "{bad}"]
 
 BAD_INPUTS = {
-    # case -> (argv, content of the bad file; None: the file does not exist)
+    # case -> (argv, content of the bad file, then optionally its one-line
+    # error message with {bad} for the file's path); content None: the file
+    # does not exist, a dict: a directory of the named files
     "eval:predictions-not-utf8": (
         ["eval", "--predictions", "{bad}", "--dataset", "{dataset}"], NOT_UTF8),
     "eval:dataset-not-utf8": (
@@ -507,31 +512,72 @@ BAD_INPUTS = {
     "rewire-config:not-json": (BAD_CONFIG, "{not json"),
     "rewire-config:not-an-object": (BAD_CONFIG, "[]"),
     "rewire-config:wrong-type": (BAD_CONFIG, json.dumps({**SMALL_CONFIG, "steps": "5"})),
+    "eval:dataset-line-not-an-object": (
+        BAD_DATASET, "[1]\n", "{bad}:1: expected a JSON object"),
+    "eval:dataset-line-without-a-field": (
+        BAD_DATASET, json.dumps({k: v for k, v in GOOD_QUERY.items() if k != "hard"}),
+        "{bad}:1: missing field 'hard'"),
+    "eval:dataset-field-of-wrong-type": (
+        BAD_DATASET, json.dumps({**GOOD_QUERY, "hard": "yes"}),
+        "{bad}:1: field has wrong type"),
+    "probe:checkpoint-of-an-unknown-backend": (
+        ["probe", "--checkpoint", "{bad}", "--dataset", "{dataset}",
+         "--entities", ENTITIES, "--strategy", "contrastive"],
+        {"sidecar.json": json.dumps({"backend": "other"})},
+        "unknown encoder backend 'other' in {bad}"),
 }
-for name, content in [("missing-file", None), ("not-json", "{not json"),
-                      ("no-default", _table_without("stub_mlm.json", "default")),
-                      ("no-vocab", _table_without("stub_mlm.json", "vocab")),
-                      ("bad-rule-position", _mlm_rule_position("first")),
-                      ("bool-prob", json.dumps({"vocab": ["a", "b"],
-                                                "default": {"a": True}}))]:
+# the mask-filling and generation strategies need the placeholder as a token
+# of its own, so a dataset that glues it to its neighbour is refused on load,
+# whichever strategy probes it
+GLUED_PLACEHOLDER = (json.dumps({**GOOD_QUERY, "query_text": "H might treat [MASK]."}),
+                     "{bad}:1: query 'H might treat [MASK].' must contain '[MASK]' "
+                     "exactly once, as a whitespace token of its own")
+BAD_INPUTS["eval:dataset-placeholder-glued"] = (BAD_DATASET, *GLUED_PLACEHOLDER)
+for strategy, models in [("contrastive", ["--encoder", ENCODER_SPEC, "--entities", ENTITIES]),
+                         ("mask-predict", ["--encoder", STUB_MLM]),
+                         ("mask-average", ["--encoder", STUB_MLM, "--entities", ENTITIES]),
+                         ("generate", ["--encoder", STUB_GENERATOR])]:
+    BAD_INPUTS[f"probe:dataset-placeholder-glued-{strategy}"] = (
+        ["probe", "--dataset", "{bad}", "--strategy", strategy, *models], *GLUED_PLACEHOLDER)
+for name, content, *message in [
+        ("missing-file", None), ("not-json", "{not json"),
+        ("no-default", _table_without("stub_mlm.json", "default")),
+        ("no-vocab", _table_without("stub_mlm.json", "vocab")),
+        ("bad-rule-position", _mlm_rule_position("first")),
+        ("bool-prob", json.dumps({"vocab": ["a", "b"], "default": {"a": True}})),
+        ("duplicate-vocab", json.dumps({"vocab": ["a", "a"], "default": {"a": 1}}),
+         "{bad}: malformed MLM table: vocab entries must be unique"),
+        ("negative-prob", json.dumps({"vocab": ["a", "b"], "default": {"a": 1.5, "b": -0.5}}),
+         "{bad}: malformed MLM table: default: negative probability"),
+        ("unknown-key", json.dumps({"vocab": ["a"], "default": {"a": 1}, "temperature": 1}),
+         "{bad}: unknown MLM table keys ['temperature']")]:
     BAD_INPUTS[f"table-mlm:{name}"] = (
         ["probe", "--dataset", "{dataset}", "--strategy", "mask-predict",
-         "--encoder", "table-mlm:{bad}"], content)
-for name, content in [("missing-file", None), ("not-json", "[1, 2"),
-                      ("no-default", _table_without("stub_generator.json", "default")),
-                      ("bool-score", json.dumps({"default": [["x", True], ["y", False]]})),
-                      ("string-score", json.dumps({"default": [["x", "0.5"]]}))]:
+         "--encoder", "table-mlm:{bad}"], content, *message)
+for name, content, *message in [
+        ("missing-file", None), ("not-json", "[1, 2"),
+        ("no-default", _table_without("stub_generator.json", "default")),
+        ("bool-score", json.dumps({"default": [["x", True], ["y", False]]})),
+        ("string-score", json.dumps({"default": [["x", "0.5"]]})),
+        ("empty-candidates", json.dumps({"default": []}),
+         "{bad}: malformed generator table: generator candidate lists must be non-empty"),
+        ("unknown-key", json.dumps({"default": [["x", 1]], "max_new_tokens": 8}),
+         "{bad}: unknown generator table keys ['max_new_tokens']")]:
     BAD_INPUTS[f"table-generator:{name}"] = (
         ["probe", "--dataset", "{dataset}", "--strategy", "generate",
-         "--encoder", "table-generator:{bad}"], content)
+         "--encoder", "table-generator:{bad}"], content, *message)
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_file_exits_one(tmp_path, curated, probed, config_path, capsys, case):
-    argv, content = BAD_INPUTS[case]
+    argv, content, *message = BAD_INPUTS[case]
     bad = tmp_path / "bad_input"
     if isinstance(content, bytes):
         bad.write_bytes(content)
+    elif isinstance(content, dict):
+        bad.mkdir()
+        for name, text in content.items():
+            (bad / name).write_text(text)
     elif content is not None:
         bad.write_text(content)
     paths = {"bad": bad, "dataset": curated / "full.jsonl",
@@ -542,6 +588,8 @@ def test_bad_input_file_exits_one(tmp_path, curated, probed, config_path, capsys
     assert err.startswith("probeforge: error: ")
     assert len(err.strip().splitlines()) == 1
     assert "bad_input" in err
+    if message:
+        assert err == f"probeforge: error: {message[0].format(bad=bad)}\n"
 
 
 PROBE = ["probe", "--dataset", "{dataset}", "--strategy"]

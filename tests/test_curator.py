@@ -17,6 +17,7 @@ from probeforge.curator import (
     load_dataset,
     load_templates,
     load_triples,
+    mask_slot,
     rouge_l,
     save_dataset,
     split_hard,
@@ -353,6 +354,19 @@ def test_load_dataset_requires_single_placeholder(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ValidationError, match="exactly once"):
         load_dataset(path)
+
+
+def test_the_placeholder_stands_alone_exactly_once():
+    assert mask_slot("h treats [MASK] .") == 2
+    for text in ["h treats [MASK].", "h treats [MASK] or [MASK] .", "no mask here .",
+                 "h treats [MASK] [MASK]x"]:
+        with pytest.raises(ValidationError, match="as a whitespace token of its own"):
+            mask_slot(text)
+    # a template that glues [Y] to its neighbour makes queries that only the
+    # contrastive probe could read, so curation refuses them
+    with pytest.raises(ValidationError, match=r"'h treats \[MASK\]\.'"):
+        group_queries([KnowledgeTriple("h", "r", "t")],
+                      {"r": PromptTemplate("r", "[X] treats [Y].")})
 
 
 def test_load_dataset_empty_file(tmp_path):

@@ -304,20 +304,24 @@ def test_touched_bucket_step_matches_dense_oracle(texts, feature_dim):
 
 
 @pytest.mark.parametrize("n_texts", [127, 128, 129, 300])
-def test_sliced_encode_equals_the_whole_batch_product(n_texts):
-    # encode builds its feature rows ENCODE_SLICE texts at a time; with the
-    # demo encoder's shapes every slice's product is bit-identical to the
-    # single product over the batch's touched columns
+def test_encode_equals_the_training_product_over_each_group(n_texts):
+    # encode makes one product per near-equal group of at most
+    # ENCODE_GROUP_BYTES of feature rows, over the columns that group touches;
+    # each group's outputs are bit-identical to the training path's product
+    # over the same texts
     enc = ReferenceEncoder(dim=64, seed=7, layers=2, feature_dim=2048)
     rng = np.random.default_rng(n_texts)
     words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=rng.integers(3, 9)))
              for _ in range(400)]
     texts = [" ".join(rng.choice(words, size=rng.integers(1, 8))) for _ in range(n_texts)]
-    phi, cols = enc._features(texts)
-    state = phi @ enc.w_in[cols]
-    for block in enc.blocks:
-        state = state + np.tanh(state @ block)
-    assert enc.encode(texts).tobytes() == state.tobytes()
+    want = []
+    for part in near_equal_slices(n_texts, ENCODE_GROUP_BYTES // (8 * enc.feature_dim)):
+        phi, cols = enc._features(texts[part])
+        state = phi @ enc.w_in[cols]
+        for block in enc.blocks:
+            state = state + np.tanh(state @ block)
+        want.append(state)
+    assert enc.encode(texts).tobytes() == np.concatenate(want).tobytes()
 
 
 SYLLABLES = ["ka", "lo", "mi", "ne", "ru", "sa", "to", "vi", "ze", "pu", "da", "fe"]
@@ -331,21 +335,22 @@ def syllable_vocabulary(n, seed=0):
 
 
 def test_encode_equals_its_groups_encoded_one_by_one():
-    # 2048-wide feature rows put 512 texts in a group, so 1,100 texts are
-    # encoded as three near-equal groups, each over its own touched columns
+    # 1,100 texts are encoded as near-equal groups of at most
+    # ENCODE_GROUP_BYTES of 2048-wide feature rows, each over its own touched
+    # columns
     enc = ReferenceEncoder(dim=64, seed=7, layers=2, feature_dim=2048)
     texts = syllable_vocabulary(1_100)
     parts = near_equal_slices(len(texts), ENCODE_GROUP_BYTES // (8 * enc.feature_dim))
-    assert len(parts) == 3
+    assert len(parts) > 1
     grouped = np.concatenate([enc.encode(texts[part]) for part in parts])
     assert enc.encode(texts).tobytes() == grouped.tobytes()
 
 
 @pytest.mark.parametrize("layers", [2, 12])
 def test_encode_memory_beyond_its_result_is_bounded(layers):
-    # one group of 512 texts through 12 layers keeps 25 (512, 64) states and
-    # activations, about 6.3 MiB, beside one slice of dense feature rows and
-    # the group's rows of w_in; none of it grows with the batch
+    # one group's dense feature rows and its rows of w_in, then its 25 (128,
+    # 64) states and activations through 12 layers, about 1.6 MiB; none of it
+    # grows with the batch
     enc = ReferenceEncoder(dim=64, seed=7, layers=layers, feature_dim=2048)
     for n in (2_000, 20_000):
         texts = syllable_vocabulary(n)
