@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import zlib
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,6 +34,54 @@ SIDECAR_NAME = "sidecar.json"
 # most bytes of feature_dim-wide float64 rows in one ReferenceEncoder.encode
 # group, which builds its dense feature rows in one product
 ENCODE_GROUP_BYTES = 2 * 2**20
+
+
+def _crc32_table() -> np.ndarray:
+    """zlib's CRC-32 byte table: entry b is the register after one round
+    of the reflected polynomial 0xEDB88320 on b."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+# the UTF-8 lead-byte marker of a code point with 0..3 continuation bytes
+_UTF8_LEAD = np.array([0, 0xC0, 0xE0, 0xF0], dtype=np.uint32)
+
+
+def _window_crc32(points: np.ndarray) -> np.ndarray:
+    """zlib.crc32 of the UTF-8 bytes of each 3-code-point window of points,
+    uint32 Unicode scalar values: entry i for points[i:i + 3].
+
+    Each code point's UTF-8 bytes are derived once. Every window takes one
+    table round per lead byte; a continuation-byte round runs, masked to the
+    code points that have that byte, only when some code point has one.
+    Every array is uint8 or uint32, so the arithmetic wraps the same under
+    every numpy type-promotion rule.
+    """
+    n = len(points) - 2
+    extra = (points >= 0x80).astype(np.uint8)
+    extra += points >= 0x800
+    extra += points >= 0x10000
+    lead = ((points >> 6 * extra) | _UTF8_LEAD.take(extra)).astype(np.uint8)
+    # the continuation bytes, first first, each with the code points that have it
+    continued = [(((points >> 6 * d) & 0x3F | 0x80).astype(np.uint8), extra > d)
+                 for d in reversed(range(int(extra.max(initial=0))))]
+    crc = np.full(max(n, 0), 0xFFFFFFFF, dtype=np.uint32)
+    for j in range(3):
+        # astype(uint8) keeps the register's low byte
+        index = crc.astype(np.uint8)
+        index ^= lead[j:j + n]
+        crc >>= 8
+        crc ^= _CRC32_TABLE.take(index)
+        for byte, has in continued:
+            index = crc.astype(np.uint8)
+            index ^= byte[j:j + n]
+            step = _CRC32_TABLE.take(index)
+            step ^= crc >> 8
+            np.copyto(crc, step, where=has[j:j + n])
+    return ~crc
 
 
 class EncoderHandle(ABC):
@@ -164,12 +211,11 @@ class ReferenceEncoder(EncoderHandle):
     A text becomes an L2-normalized count vector of hashed lowercase
     trigrams (with boundary sentinels, so one-character strings still
     produce features). A trigram's bucket is crc32 of its UTF-8 bytes
-    modulo feature_dim; the encoder keeps a table of the buckets of the
-    trigrams it has seen, so each distinct trigram is hashed once per
-    encoder. That vector passes through a seeded linear map and
-    then through max_layers residual tanh blocks; truncating to the first L
-    blocks is exact layer chopping, the parameters of deeper blocks are
-    never touched.
+    modulo feature_dim, computed for every trigram of a call in one
+    vectorized pass (_window_crc32), so hashing keeps no state. That vector
+    passes through a seeded linear map and then through max_layers residual
+    tanh blocks; truncating to the first L blocks is exact layer chopping,
+    the parameters of deeper blocks are never touched.
 
     Training keeps one append-only feature store, in CSR form, of every
     distinct text forward_train has seen: a text -> row id dict, int64 row
@@ -220,9 +266,6 @@ class ReferenceEncoder(EncoderHandle):
         self._buckets = np.zeros(0, dtype=np.min_scalar_type(self.feature_dim - 1))
         self._counts = np.zeros(0, dtype=np.uint8)
         self._norms = np.zeros(0)
-        # sorted trigram codes and their buckets; the last code is above any
-        # trigram's, so every lookup lands inside the table
-        self._trigram_table = (np.array([np.iinfo(np.int64).max]), np.array([-1]))
         self._train_cache = None
 
     @property
@@ -283,8 +326,9 @@ class ReferenceEncoder(EncoderHandle):
         return self._dense(store, row_of, texts)
 
     def _featurize(self, texts: list[str]) -> _Runs:
-        """The trigram runs of texts, row i for texts[i]. Only the encoder's
-        trigram -> bucket table changes."""
+        """The trigram runs of texts, row i for texts[i]. A trigram's bucket
+        is the crc32 of its UTF-8 bytes modulo feature_dim, hashed afresh on
+        every call, so the encoder is left unchanged."""
         fd = self.feature_dim
         padded = ["\x02" + text.lower() + "\x03" for text in texts]
         # int64 even for no texts, for which np.cumsum would give float64
@@ -295,18 +339,12 @@ class ReferenceEncoder(EncoderHandle):
             bad = texts[int(np.searchsorted(ends, exc.start, side="right"))]
             raise ValidationError(
                 f"encoder input {bad!r} is not valid Unicode: {exc.reason}") from exc
-        # one code per trigram, its three code points at 21 bits each; the
-        # two windows at the end of each text reach into the next and go
-        points = points.astype(np.int64)
-        codes = points[:-2] << 42
-        codes |= points[1:-1] << 21
-        codes |= points[2:]
-        codes = np.delete(codes, np.concatenate([ends[:-1] - 2, ends[:-1] - 1]))
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        # one key per trigram, row * feature_dim + bucket, counted in one pass
+        # one key per trigram, row * feature_dim + bucket, counted in one pass;
+        # the two windows at the end of each text reach into the next and go
         keys = np.repeat(np.arange(len(texts), dtype=np.int64) * fd,
                          np.diff(ends, prepend=0) - 2)
-        keys += self._trigram_buckets(distinct)[inverse]
+        keys += np.delete(_window_crc32(points) % fd,
+                          np.concatenate([ends[:-1] - 2, ends[:-1] - 1]))
         keys, counts = np.unique(keys, return_counts=True)
         rows, buckets = np.divmod(keys, fd)
         # every text yields at least one trigram, so each row owns a run of keys
@@ -334,30 +372,13 @@ class ReferenceEncoder(EncoderHandle):
         # the rows count as stored only now, so a failed append stores nothing
         self._row_of.update(zip(texts, range(n, n_new)))
 
-    def _trigram_buckets(self, codes: np.ndarray) -> np.ndarray:
-        """The bucket of each of the sorted distinct trigram codes, from the
-        encoder's code -> bucket table; crc32 runs only on codes it lacks."""
-        table, buckets = self._trigram_table
-        at = np.searchsorted(table, codes)
-        new = table[at] != codes
-        if new.any():
-            mask = (1 << 21) - 1
-            fresh = [zlib.crc32((chr(c >> 42) + chr(c >> 21 & mask) + chr(c & mask))
-                                .encode("utf-8")) % self.feature_dim
-                     for c in codes[new].tolist()]
-            table = np.insert(table, at[new], codes[new])
-            buckets = np.insert(buckets, at[new], fresh)
-            self._trigram_table = (table, buckets)
-            at = np.searchsorted(table, codes)
-        return buckets[at]
-
     def _block_weight(self, i: int) -> np.ndarray:
         # kept as a hook so tests can observe which blocks a forward pass reads
         return self.blocks[i]
 
     def _layers(self, state: np.ndarray, limit: int):
         """The input to each of the first limit blocks, then the output, and
-        each block's tanh activation."""
+        each block's tanh activation: what backward_train reads."""
         states, tanhs = [state], []
         for i in range(limit):
             t = states[-1] @ self._block_weight(i)
@@ -380,12 +401,17 @@ class ReferenceEncoder(EncoderHandle):
     def _encode_group(self, texts: list[str], limit: int) -> np.ndarray:
         """encode for one group: one product of its dense feature rows with
         the rows of w_in they touch. The runs and the feature rows are freed
-        before the blocks run, the layer states on return."""
+        before the blocks run, and each block updates the one running state
+        in place, as _layers computes it but keeping no earlier state."""
         row_of = {text: i for i, text in enumerate(dict.fromkeys(texts))}
         rows, cols = self._dense(self._featurize(list(row_of)), row_of, texts)
         state = rows @ self.w_in[cols]
         del rows
-        return self._layers(state, limit)[0][-1]
+        for i in range(limit):
+            t = state @ self._block_weight(i)
+            np.tanh(t, out=t)
+            state += t
+        return state
 
     def forward_train(self, texts, layer_limit=None):
         limit = self.resolve_layer_limit(layer_limit)
@@ -624,12 +650,20 @@ class TableMLM(MLMHeadHandle):
         self.vocab = list(vocab)
         if len(set(self.vocab)) != len(self.vocab):
             raise ValidationError("vocab entries must be unique")
+        # queries are matched token by token, so no other mask could match
+        if not isinstance(mask_token, str) or mask_token.split() != [mask_token]:
+            raise ValidationError(f"mask_token {mask_token!r} must be one whitespace-free "
+                                  "string")
         self.mask_token = mask_token
         self.identity = identity
         self._index = {tok: i for i, tok in enumerate(self.vocab)}
         self._default = self._check_probs(default, "default")
         self._rules = []
         for i, rule in enumerate(rules):
+            # a misspelt key would leave a rule that matches every mask
+            unknown = set(rule) - {"probs", "position", "left"}
+            if unknown:
+                raise ValidationError(f"rule {i}: unknown keys {sorted(unknown)}")
             probs = self._check_probs(rule["probs"], f"rule {i}")
             clean = {"probs": probs}
             if "position" in rule:

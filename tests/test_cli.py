@@ -550,7 +550,14 @@ for name, content, *message in [
         ("negative-prob", json.dumps({"vocab": ["a", "b"], "default": {"a": 1.5, "b": -0.5}}),
          "{bad}: malformed MLM table: default: negative probability"),
         ("unknown-key", json.dumps({"vocab": ["a"], "default": {"a": 1}, "temperature": 1}),
-         "{bad}: unknown MLM table keys ['temperature']")]:
+         "{bad}: unknown MLM table keys ['temperature']"),
+        ("unknown-rule-key", json.dumps({"vocab": ["a", "b"], "default": {"b": 1},
+                                         "rules": [{"left": "x", "probs": {"b": 1}},
+                                                   {"postion": 7, "probs": {"a": 1.0}}]}),
+         "{bad}: malformed MLM table: rule 1: unknown keys ['postion']"),
+        ("mask-token-not-a-string", json.dumps({"vocab": ["a"], "default": {"a": 1},
+                                                "mask_token": 5}),
+         "{bad}: malformed MLM table: mask_token 5 must be one whitespace-free string")]:
     BAD_INPUTS[f"table-mlm:{name}"] = (
         ["probe", "--dataset", "{dataset}", "--strategy", "mask-predict",
          "--encoder", "table-mlm:{bad}"], content, *message)

@@ -15,6 +15,7 @@ from probeforge.encoders import (
     ReferenceEncoder,
     TableGenerator,
     TableMLM,
+    _window_crc32,
     encoder_from_spec,
     generator_from_spec,
     load_checkpoint,
@@ -144,23 +145,47 @@ def test_sparse_features_are_bit_identical_to_dense_rows(first, second, third, f
         assert got.tobytes() == dense_features(texts, feature_dim).tobytes()
 
 
-def test_each_distinct_trigram_is_hashed_once(monkeypatch):
-    hashed = []
-    crc32 = zlib.crc32
-    monkeypatch.setattr(zlib, "crc32", lambda data: hashed.append(data) or crc32(data))
-    a = ["Entecavir prevents hepatitis", "entecavir", "İstanbul \U0001F600", "aaaaaa"]
-    b = ["Hepatitis B reactivation", "ENTECAVIR prevents", "x"]
-    enc = ReferenceEncoder(dim=4, seed=0, layers=1, feature_dim=64)
-    enc._features(a)
-    enc._features(a + b)
-    padded = ["\x02" + t.lower() + "\x03" for t in a + b]
-    trigrams = {p[j:j + 3] for p in padded for j in range(len(p) - 2)}
-    assert len(hashed) == len(trigrams)
-    # a repeat, and new texts whose trigrams are all known, hash nothing
-    shouted = [t.upper() for t in a + b]
-    assert not set(shouted) & set(a + b)
-    enc._features(a + b + shouted)
-    assert len(hashed) == len(trigrams)
+# the padding sentinels, an ASCII letter, a character whose lowercase is
+# longer, and the last code point of each UTF-8 width and the first of the next
+WIDTH_EDGES = "\x02\x03aİ\x7f\x80\u07ff\u0800\uffff\U00010000\U0010ffff"
+
+
+@pytest.mark.parametrize("text", [
+    "", "a", "ab", "\x02ab\x03", "\x02\x7f\x80\x03", "\x02\u07ff\u0800\x03",
+    "\x02\uffff\U00010000\x03", "\x02\U0010ffff\x03", "\x02i̇stanbul\x03",
+    # every ordered triple of the edges, so every pair of widths meets in a window
+    "".join(a + b + c for a in WIDTH_EDGES for b in WIDTH_EDGES for c in WIDTH_EDGES),
+], ids=["empty", "one-point", "two-points", "ascii", "2-byte", "3-byte", "4-byte", "max",
+        "dotted-i", "every-triple"])
+def test_window_crc32_is_zlib_crc32_of_each_window(text):
+    got = _window_crc32(np.frombuffer(text.encode("utf-32-le"), dtype="<u4"))
+    assert got.dtype == np.uint32
+    assert got.tolist() == [zlib.crc32(text[i:i + 3].encode("utf-8"))
+                            for i in range(len(text) - 2)]
+
+
+def snapshot(value):
+    """value's contents, with every array down to its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [snapshot(v) for v in value]
+    if isinstance(value, dict):
+        return {k: snapshot(v) for k, v in value.items()}
+    return value
+
+
+def test_encode_leaves_every_attribute_unchanged():
+    spec = dict(dim=8, seed=2, layers=2, feature_dim=256)
+    enc = ReferenceEncoder(**spec)
+    enc.forward_train(TEXTS[:2])
+    before = snapshot(vars(enc))
+    # stored texts, new texts, repeats and non-ASCII trigrams
+    other = ["İstanbul \U0001F600", "Hepatitis B", "ẞtraße", "x"]
+    enc.encode(other + TEXTS + other)
+    assert snapshot(vars(enc)) == before
+    # what an encoder has encoded before changes no later vector
+    assert enc.encode(TEXTS).tobytes() == ReferenceEncoder(**spec).encode(TEXTS).tobytes()
 
 
 @pytest.mark.parametrize("feature_dim", [128, 2048, 65536])
@@ -348,9 +373,8 @@ def test_encode_equals_its_groups_encoded_one_by_one():
 
 @pytest.mark.parametrize("layers", [2, 12])
 def test_encode_memory_beyond_its_result_is_bounded(layers):
-    # one group's dense feature rows and its rows of w_in, then its 25 (128,
-    # 64) states and activations through 12 layers, about 1.6 MiB; none of it
-    # grows with the batch
+    # one group's dense feature rows and its rows of w_in, about 1.6 MiB; none
+    # of it grows with the batch
     enc = ReferenceEncoder(dim=64, seed=7, layers=layers, feature_dim=2048)
     for n in (2_000, 20_000):
         texts = syllable_vocabulary(n)
@@ -363,6 +387,24 @@ def test_encode_memory_beyond_its_result_is_bounded(layers):
             tracemalloc.stop()
         assert vectors.shape == (n, 64)
         assert peak - start - vectors.nbytes <= ENCODE_GROUP_BYTES, n
+
+
+def test_encode_blocks_keep_only_the_running_state(monkeypatch):
+    # each block adds its tanh into the one state in place, so what encode
+    # holds as the blocks run does not grow with their number
+    enc = ReferenceEncoder(dim=64, seed=7, layers=12, feature_dim=2048)
+    held, weight = [], enc._block_weight
+    monkeypatch.setattr(enc, "_block_weight",
+                        lambda i: held.append(tracemalloc.get_traced_memory()[0]) or weight(i))
+    tracemalloc.start()
+    try:
+        enc.encode(syllable_vocabulary(128))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 12
+    # from the second block on, the previous block's tanh is still held: one
+    # (128, 64) array more than at the first block
+    assert max(held) - held[0] < 2 * 128 * 64 * 8
 
 
 def test_training_step_changes_outputs_and_identity():
@@ -606,6 +648,13 @@ def test_probs_must_sum_to_one():
         TableMLM(["a", "b"], default={"a": 0.7})
     with pytest.raises(ValidationError):
         TableMLM(["a"], default={"zzz": 1.0})
+
+
+@pytest.mark.parametrize("mask_token", [5, None, "", "[A B]", " [MASK]"])
+def test_mask_token_must_be_one_whitespace_free_string(mask_token):
+    # a query token never equals any of these, so no mask would be scored
+    with pytest.raises(ValidationError, match="mask_token"):
+        TableMLM(["a"], default={"a": 1.0}, mask_token=mask_token)
 
 
 def test_table_mlm_json_roundtrip(tmp_path):
