@@ -4,9 +4,10 @@ Everything downstream (rewiring, probing, evaluation) talks to these
 interfaces only. Real pretrained-LM backends are adapters implementing the
 same three surfaces:
 
-  * EncoderHandle     dense text encoder with layer truncation and a
-                      two-phase training hook (forward_train / backward_train,
-                      split at the embedding so the trainer owns the loss)
+  * EncoderHandle     dense text encoder with layer truncation, a two-phase
+                      training hook (forward_train / backward_train, split at
+                      the embedding so the trainer owns the loss) and the
+                      named state_arrays that save_checkpoint writes
   * MLMHeadHandle     masked-token log-probabilities over a fixed vocabulary
   * GeneratorHandle   free-form candidate generation with scores
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import math
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from pathlib import Path
@@ -126,14 +126,6 @@ class EncoderHandle(ABC):
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Named parameter arrays, for checkpointing."""
 
-    @abstractmethod
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy arrays, named as state_arrays names them, into the encoder's
-        own parameter arrays in place. Every name and shape is checked first,
-        so a mismatch raises ValidationError and writes nothing. Arrays that
-        state_arrays returned earlier see the new values, and a pending
-        forward_train is dropped."""
-
     def sidecar_config(self) -> dict:
         """Backend-specific constructor arguments stored in the checkpoint."""
         return {}
@@ -239,6 +231,18 @@ class ReferenceEncoder(EncoderHandle):
 
     def __init__(self, dim: int = 128, seed: int = 0, layers: int = 2,
                  feature_dim: int = 1024):
+        layers = self._configure(dim, seed, layers, feature_dim)
+        rng = np.random.default_rng(self.seed)
+        # feature rows are unit-norm, so 1/sqrt(dim) scaling puts the input
+        # projection at roughly unit norm, keeping cosine gradients tame
+        self.w_in = rng.standard_normal((self.feature_dim, self.dim)) / np.sqrt(self.dim)
+        self.blocks = [
+            rng.standard_normal((self.dim, self.dim)) / np.sqrt(self.dim)
+            for _ in range(layers)
+        ]
+
+    def _configure(self, dim: int, seed: int, layers: int, feature_dim: int) -> int:
+        """Check and set every constructor argument but the weights; returns layers."""
         if dim < 2:
             raise ConfigurationError("dim must be >= 2")
         if layers < 1:
@@ -250,14 +254,6 @@ class ReferenceEncoder(EncoderHandle):
         self.dim = int(dim)
         self.seed = int(seed)
         self.feature_dim = int(feature_dim)
-        rng = np.random.default_rng(self.seed)
-        # feature rows are unit-norm, so 1/sqrt(dim) scaling puts the input
-        # projection at roughly unit norm, keeping cosine gradients tame
-        self.w_in = rng.standard_normal((self.feature_dim, self.dim)) / np.sqrt(self.dim)
-        self.blocks = [
-            rng.standard_normal((self.dim, self.dim)) / np.sqrt(self.dim)
-            for _ in range(int(layers))
-        ]
         self.step = 0
         # the feature store: text -> row id; row r's trigram buckets and
         # counts fill [indptr[r], indptr[r + 1]) and its norm is norms[r]
@@ -267,6 +263,24 @@ class ReferenceEncoder(EncoderHandle):
         self._counts = np.zeros(0, dtype=np.uint8)
         self._norms = np.zeros(0)
         self._train_cache = None
+        return int(layers)
+
+    @classmethod
+    def _adopting(cls, config: dict, arrays: dict[str, np.ndarray]) -> "ReferenceEncoder":
+        """The step-0 encoder of config, its constructor arguments, adopting arrays,
+        named as state_arrays names them, as weights (cast once if not aligned,
+        writable, C-ordered float64). A misnamed or misshapen array raises ValidationError."""
+        encoder = cls.__new__(cls)
+        layers = encoder._configure(**config)
+        shapes = {"w_in": (encoder.feature_dim, encoder.dim)}
+        shapes.update((f"block_{i:02d}", (encoder.dim, encoder.dim)) for i in range(layers))
+        for name in sorted(shapes.keys() | arrays.keys()):
+            got = f"shape {arrays[name].shape}" if name in arrays else "missing"
+            want = f"shape {shapes[name]}" if name in shapes else "no such array"
+            if got != want:
+                raise ValidationError(f"checkpoint array {name}: {got}, the config needs {want}")
+        encoder.w_in, *encoder.blocks = [np.require(arrays[n], float, "CAW") for n in shapes]
+        return encoder
 
     @property
     def identity(self) -> str:
@@ -339,16 +353,25 @@ class ReferenceEncoder(EncoderHandle):
             bad = texts[int(np.searchsorted(ends, exc.start, side="right"))]
             raise ValidationError(
                 f"encoder input {bad!r} is not valid Unicode: {exc.reason}") from exc
-        # one key per trigram, row * feature_dim + bucket, counted in one pass;
-        # the two windows at the end of each text reach into the next and go
-        keys = np.repeat(np.arange(len(texts), dtype=np.int64) * fd,
-                         np.diff(ends, prepend=0) - 2)
+        # one key per trigram, row * feature_dim + bucket, uint32 while every
+        # key fits; the two windows at the end of each text reach into the
+        # next and go
+        key_type = np.uint32 if len(texts) * fd <= 2**32 else np.int64
+        row_keys = np.arange(len(texts), dtype=key_type) * fd
+        keys = np.repeat(row_keys, np.diff(ends, prepend=0) - 2)
         keys += np.delete(_window_crc32(points) % fd,
                           np.concatenate([ends[:-1] - 2, ends[:-1] - 1]))
-        keys, counts = np.unique(keys, return_counts=True)
-        rows, buckets = np.divmod(keys, fd)
+        # sorted, each distinct key is one run: its start, length and bucket
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=len(keys))
+        keys = keys[starts]
         # every text yields at least one trigram, so each row owns a run of keys
-        indptr = np.searchsorted(rows, np.arange(len(texts) + 1))
+        indptr = np.append(np.searchsorted(keys, row_keys), len(keys))
+        buckets = keys % fd
         floats = counts.astype(float)
         norms = np.sqrt(np.add.reduceat(floats * floats, indptr[:-1]))
         return _Runs(indptr, buckets, counts, norms)
@@ -460,20 +483,6 @@ class ReferenceEncoder(EncoderHandle):
             arrays[f"block_{i:02d}"] = block
         return arrays
 
-    def load_state_arrays(self, arrays):
-        expected = self.state_arrays()
-        if set(arrays) != set(expected):
-            raise ValidationError(
-                f"checkpoint arrays {sorted(arrays)} do not match encoder layout"
-            )
-        for name, arr in arrays.items():
-            if arr.shape != expected[name].shape:
-                raise ValidationError(f"array {name}: shape {arr.shape} != {expected[name].shape}")
-        for name, target in expected.items():
-            target[...] = arrays[name]
-        # the cache holds rows of the weights just overwritten
-        self._train_cache = None
-
     def sidecar_config(self):
         return {"dim": self.dim, "seed": self.seed,
                 "layers": len(self.blocks), "feature_dim": self.feature_dim}
@@ -514,13 +523,13 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir) -> Path:
     return ckpt_dir
 
 
-def _npy_view(data: bytes) -> np.ndarray:
-    """A read-only view of the array that the bytes of an .npy file hold,
-    parsed with numpy.lib.format; nothing is copied. Bad magic, a format
-    version other than 1.0 or 2.0, a malformed header, a dtype that is not
-    boolean, integer or floating, or a payload other than exactly the bytes
-    the header's shape needs raises ValueError."""
-    fh = io.BytesIO(data)
+def _npy_view(buf: np.ndarray) -> np.ndarray:
+    """A view, writable when buf is, of the array that buf, an .npy file's
+    uint8 bytes, holds; it copies nothing. The header is parsed from the first
+    10,012 bytes, which hold any header numpy.lib.format accepts. Bad magic, a
+    version other than 1.0 or 2.0, a malformed header, a dtype not boolean,
+    integer or floating, or a payload the shape does not fit raises ValueError."""
+    fh = io.BytesIO(buf[:10_012].tobytes())
     version = npy_format.read_magic(fh)
     if version == (1, 0):
         shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
@@ -530,28 +539,24 @@ def _npy_view(data: bytes) -> np.ndarray:
         raise ValueError(f"unsupported .npy format version {version}")
     if dtype.kind not in "biuf":
         raise ValueError(f"dtype {dtype} is not boolean, integer or floating")
-    count, offset = math.prod(shape), fh.tell()
-    if len(data) - offset != count * dtype.itemsize:
-        raise ValueError(f"shape {shape} of {dtype} needs {count * dtype.itemsize} "
-                         f"payload bytes, the file holds {len(data) - offset}")
-    flat = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    # view and reshape raise ValueError unless the payload fits the shape exactly
+    flat = buf[fh.tell():].view(dtype)
     return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
 
 
 def load_checkpoint(ckpt_dir) -> EncoderHandle:
     """Rebuild an encoder from a checkpoint directory.
 
-    Each .npy file is read once; its bytes are hashed, and only bytes that
-    match the sidecar's sha256 are parsed, as a view that load_state_arrays
-    copies into the new encoder's arrays. The load holds the encoder plus
-    one copy of the file bytes.
+    Each .npy file is read once into a writable buffer; only bytes that match
+    the sidecar's sha256 are parsed, as views that the one encoder built
+    adopts as its weights. A load holds one copy of them and draws none.
 
     A sidecar that is unreadable or not UTF-8, or a weights file that cannot
     be read or parsed, raises InputError. A sidecar that is not a JSON object,
     misses a key or holds a bad config raises ValidationError, as does a
-    weights file whose sha256 differs from the one the sidecar records: a
+    weights file whose sha256 differs from the one the sidecar records (a
     truncated or corrupt file, or the array of a later save that was cut off
-    before its sidecar.
+    before its sidecar) and an array the config does not fit.
     """
     ckpt_dir = Path(ckpt_dir)
     sidecar_path = ckpt_dir / SIDECAR_NAME
@@ -562,29 +567,31 @@ def load_checkpoint(ckpt_dir) -> EncoderHandle:
     if backend != ReferenceEncoder.backend:
         raise ConfigurationError(f"unknown encoder backend {backend!r} in {ckpt_dir}")
     try:
-        config, step, identity = sidecar["config"], sidecar["step"], sidecar["identity"]
-        digests = dict(sidecar["sha256"])
-        encoder = ReferenceEncoder(**config)
-        encoder.step = int(step)
+        config, identity = sidecar["config"], sidecar["identity"]
+        step, digests = int(sidecar["step"]), dict(sidecar["sha256"])
     except KeyError as exc:
         raise ValidationError(f"{sidecar_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{sidecar_path}: bad config, step or sha256: {exc}") from exc
+        raise ValidationError(f"{sidecar_path}: bad step or sha256: {exc}") from exc
     arrays = {}
     for path in sorted(ckpt_dir.glob("*.npy")):
         try:
-            data = path.read_bytes()
+            buf = np.fromfile(path, dtype=np.uint8)
         except OSError as exc:
             raise InputError(f"cannot load checkpoint array {path}: {exc}") from exc
-        if hashlib.sha256(data).hexdigest() != digests.get(path.stem):
+        if hashlib.sha256(buf).hexdigest() != digests.get(path.stem):
             raise ValidationError(
                 f"checkpoint array {path} does not match its sha256 in {sidecar_path}"
             )
         try:
-            arrays[path.stem] = _npy_view(data)
+            arrays[path.stem] = _npy_view(buf)
         except ValueError as exc:
             raise InputError(f"cannot load checkpoint array {path}: {exc}") from exc
-    encoder.load_state_arrays(arrays)
+    try:
+        encoder = ReferenceEncoder._adopting(config, arrays)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{sidecar_path}: bad config: {exc}") from exc
+    encoder.step = step
     if encoder.identity != identity:
         raise ValidationError(
             f"rebuilt identity {encoder.identity!r} does not match sidecar {identity!r}"

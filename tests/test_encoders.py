@@ -164,6 +164,46 @@ def test_window_crc32_is_zlib_crc32_of_each_window(text):
                             for i in range(len(text) - 2)]
 
 
+def unique_runs(texts, feature_dim):
+    """_featurize's runs as np.unique counts them: one int64 key
+    row * feature_dim + bucket per trigram, each bucket from zlib.crc32."""
+    keys = []
+    for row, text in enumerate(texts):
+        padded = "\x02" + text.lower() + "\x03"
+        keys += [row * feature_dim + zlib.crc32(padded[j:j + 3].encode("utf-8")) % feature_dim
+                 for j in range(len(padded) - 2)]
+    keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+    rows, buckets = np.divmod(keys, feature_dim)
+    indptr = np.searchsorted(rows, np.arange(len(texts) + 1))
+    floats = counts.astype(float)
+    return indptr, buckets, counts, np.sqrt(np.add.reduceat(floats * floats, indptr[:-1]))
+
+
+def seeded_texts(n, seed):
+    rng = np.random.default_rng(seed)
+    letters = list("abcdeäßİ\U0001F600 ")
+    return ["".join(rng.choice(letters, size=rng.integers(1, 12))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n_texts, feature_dim, key_type", [
+    (1, 16, np.uint32), (200, 2048, np.uint32),
+    # 2**14 + 1 texts of 2**18 buckets pass 2**32 keys: int64 keys
+    (2**14 + 1, 2**18, np.int64),
+])
+def test_featurize_runs_equal_np_unique_counts(n_texts, feature_dim, key_type):
+    enc = ReferenceEncoder(dim=2, seed=0, layers=1, feature_dim=feature_dim)
+    # non-ASCII code points, and a trigram repeated 300 times, past uint8 counts
+    texts = seeded_texts(n_texts, n_texts)[:-1] + ["Ab" * 301]
+    runs = enc._featurize(texts)
+    indptr, buckets, counts, norms = unique_runs(texts, feature_dim)
+    assert runs.buckets.dtype == key_type
+    assert runs.counts.max() > 255
+    np.testing.assert_array_equal(runs.indptr, indptr)
+    np.testing.assert_array_equal(runs.buckets, buckets)
+    np.testing.assert_array_equal(runs.counts, counts)
+    assert runs.norms.tobytes() == norms.tobytes()
+
+
 def snapshot(value):
     """value's contents, with every array down to its dtype, shape and bytes."""
     if isinstance(value, np.ndarray):
@@ -425,14 +465,6 @@ def test_backward_requires_forward():
         enc.backward_train(np.zeros((1, enc.embedding_dim)), 0.1)
 
 
-def test_loading_weights_drops_the_pending_step():
-    enc = small_encoder()
-    out = enc.forward_train(TEXTS)
-    enc.load_state_arrays(small_encoder(seed=4).state_arrays())
-    with pytest.raises(ValidationError, match="preceding forward_train"):
-        enc.backward_train(np.ones_like(out), 0.1)
-
-
 def test_backward_gradient_matches_finite_differences():
     # probe loss L = sum(R * output); analytic dL/dW checked against central
     # differences through the full residual stack
@@ -515,7 +547,7 @@ def test_load_checkpoint_rejects_arrays_of_a_later_save(tmp_path):
 
 def test_checkpoint_io_holds_one_copy_of_the_weights(tmp_path):
     # a 32 MiB input projection: a save holds no buffer of its size, and a
-    # load holds the encoder it returns plus at most one buffer
+    # load holds one copy of the weights, which the encoder it returns adopts
     enc = ReferenceEncoder(dim=64, seed=0, layers=2, feature_dim=65536)
     size = enc.w_in.nbytes
     tracemalloc.start()
@@ -530,7 +562,7 @@ def test_checkpoint_io_holds_one_copy_of_the_weights(tmp_path):
     finally:
         tracemalloc.stop()
     assert save_peak - start < 0.125 * size
-    assert load_peak - start_load < 2.25 * size
+    assert load_peak - start_load < 1.25 * size
     np.testing.assert_array_equal(back.w_in, enc.w_in)
 
 
@@ -549,19 +581,54 @@ def test_load_checkpoint_casts_as_np_load_does(tmp_path, layout):
     back = load_checkpoint(tmp_path)
     for name, got in back.state_arrays().items():
         want = np.array(np.load(tmp_path / f"{name}.npy"), dtype=float)
-        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
         np.testing.assert_array_equal(got, want)
 
 
-def test_load_state_arrays_writes_nothing_on_a_mismatch():
+def test_load_checkpoint_adopts_its_arrays_and_draws_no_weights(tmp_path, monkeypatch):
     enc = small_encoder()
-    before = {name: arr.copy() for name, arr in enc.state_arrays().items()}
-    arrays = small_encoder(seed=4).state_arrays()
-    arrays["block_03"] = arrays["block_03"][:-1]
-    with pytest.raises(ValidationError, match="block_03"):
-        enc.load_state_arrays(arrays)
-    for name, arr in enc.state_arrays().items():
-        np.testing.assert_array_equal(arr, before[name])
+    out = enc.forward_train(TEXTS)
+    enc.backward_train(np.ones_like(out), 0.05)
+    save_checkpoint(enc, tmp_path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew seeded weights")
+
+    monkeypatch.setattr("probeforge.encoders.np.random.default_rng", no_draws)
+    back = load_checkpoint(tmp_path)
+    assert back.identity == enc.identity
+    for name, got in back.state_arrays().items():
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_array_equal(got, enc.state_arrays()[name])
+    # the adopted weights train like drawn ones
+    out = back.forward_train(TEXTS)
+    back.backward_train(np.ones_like(out), 0.05)
+    out = enc.forward_train(TEXTS)
+    enc.backward_train(np.ones_like(out), 0.05)
+    assert back.encode(TEXTS).tobytes() == enc.encode(TEXTS).tobytes()
+
+
+@pytest.mark.parametrize("change, message", [
+    ("missing", r"block_03: missing, the config needs shape \(16, 16\)"),
+    ("wrong-shape", r"block_03: shape \(15, 16\), the config needs shape \(16, 16\)"),
+    ("extra", r"block_04: shape \(16, 16\), the config needs no such array"),
+], ids=["missing", "wrong-shape", "extra"])
+def test_load_checkpoint_names_an_array_the_config_does_not_fit(tmp_path, change, message):
+    # every file matches its digest, but the arrays do not fit the sidecar config
+    save_checkpoint(small_encoder(), tmp_path)
+    sidecar = json.loads((tmp_path / "sidecar.json").read_text())
+    block = np.load(tmp_path / "block_03.npy")
+    if change == "missing":
+        (tmp_path / "block_03.npy").unlink()
+        del sidecar["sha256"]["block_03"]
+    else:
+        name = "block_03" if change == "wrong-shape" else "block_04"
+        np.save(tmp_path / f"{name}.npy", block[:-1] if change == "wrong-shape" else block)
+        sidecar["sha256"][name] = hashlib.sha256(
+            (tmp_path / f"{name}.npy").read_bytes()).hexdigest()
+    (tmp_path / "sidecar.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValidationError, match=message):
+        load_checkpoint(tmp_path)
 
 
 def test_load_checkpoint_requires_array_digests(tmp_path):

@@ -268,9 +268,6 @@ class TableEncoder(EncoderHandle):
     def state_arrays(self):
         return {}
 
-    def load_state_arrays(self, arrays):
-        raise NotImplementedError
-
 
 @st.composite
 def tie_heavy_retrieval(draw):
