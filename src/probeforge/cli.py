@@ -355,6 +355,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
             *others, last = [s for s, r in PROBE_STRATEGIES.items() if flag in r]
             args._parser.error(f"--{flag.replace('_', '-')} only applies to "
                                f"{', '.join(others) + ' and ' if others else ''}{last} probing")
+    if args.refine is None and args.max_refine_iters != args._parser.get_default(
+            "max_refine_iters"):
+        args._parser.error("--max-refine-iters only applies with --refine order")
     if args.k < 1:
         raise ConfigurationError("--k must be >= 1")
     if args.strategy != "contrastive" and not args.encoder:
@@ -499,18 +502,23 @@ def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, querie
     rewire_train continues from encoder.step, and continuing reproduces the
     uninterrupted run, so each point sees the state a fresh run to its step
     ends in. A point whose layer limit exceeds the encoder's depth is
-    skipped (None).
+    skipped (None) before it trains; a group whose every point is skipped
+    raises ConfigurationError.
     """
     encoder = encoder_from_spec(encoder_spec)
     pairs, reports = None, {}
     for step, i, layer_limit, metadata in sorted(points, key=lambda p: p[:2]):
+        if layer_limit is not None and layer_limit > encoder.max_layers:
+            reports[i] = None
+            continue
         if step > encoder.step:
             if pairs is None:
                 pairs = _masked_pairs(corpus, config)
             rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0))
-        deep_enough = layer_limit is None or layer_limit <= encoder.max_layers
-        reports[i] = (_sweep_report(encoder, queries, index, layer_limit,
-                                    k_values, metadata) if deep_enough else None)
+        reports[i] = _sweep_report(encoder, queries, index, layer_limit, k_values, metadata)
+    if all(report is None for report in reports.values()):
+        raise ConfigurationError(f"every layer limit in --values exceeds the encoder's "
+                                 f"{encoder.max_layers} layers")
     return reports
 
 

@@ -661,6 +661,10 @@ class TableMLM(MLMHeadHandle):
         if not isinstance(mask_token, str) or mask_token.split() != [mask_token]:
             raise ValidationError(f"mask_token {mask_token!r} must be one whitespace-free "
                                   "string")
+        # a fill that wrote the mask token would count as a mask again, and the
+        # rows of mask_logprobs would no longer match the slots
+        if mask_token in self.vocab:
+            raise ValidationError(f"mask_token {mask_token!r} must not be in the vocab")
         self.mask_token = mask_token
         self.identity = identity
         self._index = {tok: i for i, tok in enumerate(self.vocab)}

@@ -13,7 +13,8 @@ entity index. The entity index holds the checked vocabulary's names alone,
 so any encoder may probe it. Its working memory does not grow with the
 vocabulary: the probe owns the entity tiles and query blocks it scores
 (contrastive_probe), and the encoder owns the groups and slices it encodes
-a list of texts in (EncoderHandle.encode).
+a list of texts in (EncoderHandle.encode). The running top k is two
+(queries x k) arrays, scores and entity indices, merged with each tile.
 """
 
 from __future__ import annotations
@@ -137,11 +138,12 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     them, within TILE_BYTES. The probe owns these tiles and blocks and the
     encoder its groups and slices, so memory is one tile of entity rows and
     one encode's working arrays, or one score tile and its copy, on top of
-    the query embeddings and the top-k lists, whatever the vocabulary size.
-    Each query keeps a running top k across the tiles: k-selection in a
-    tile sets each row's floor, and only the scores at or above the floor,
-    the k-th best so far, are merged by (-score, entity index) into the
-    running lists.
+    the query embeddings and the running top, whatever the vocabulary size.
+    The running top is two (queries x k) arrays, scores and entity indices,
+    -inf scores marking empty places. A row's floor is its last score; while
+    some row has an empty place, k-selection in the tile raises the floor.
+    Only the tile's scores at or above a row's floor are merged, by
+    (-score, entity index), into the row.
 
     No entity row outlives the call, so a caller that probes one index
     with several query lists pays for encoding the vocabulary on each call.
@@ -153,22 +155,21 @@ def contrastive_probe(encoder: EncoderHandle, index: EntityIndex,
     encoded = _encode_units(encoder, [q.query_text for q in queries], limit)
     blocks, tiles = _score_tiles(len(queries), len(index))
     names = index.entity_names
-    tops = [_RunningTop.empty(block.stop - block.start) for block in blocks]
+    # -inf marks an empty place, which every real score beats
+    scores = np.full((len(queries), top), -np.inf)
+    ids = np.zeros((len(queries), top), dtype=np.intp)
     for tile in tiles:
         entities = _encode_units(encoder, list(names[tile]), limit)
-        for b, block in enumerate(blocks):
-            tops[b] = _merge_tile(tops[b], encoded[block] @ entities.T, tile.start, top)
+        for block in blocks:
+            scores[block], ids[block] = _merge_tile(scores[block], ids[block],
+                                                    encoded[block] @ entities.T, tile.start)
         # dropped before the next tile is encoded, so one tile is alive at a time
         del entities
-    predictions = []
-    for block, running in zip(blocks, tops):
-        ids, scores = running.ids.reshape(-1, top), running.scores.reshape(-1, top)
-        predictions += [
-            RankedPrediction(query.query_id, tuple(zip(map(names.__getitem__, row_ids),
-                                                       row_scores)), "contrastive")
-            for query, row_ids, row_scores in zip(queries[block], ids.tolist(),
-                                                  scores.tolist())]
-    return predictions
+    # row by row, as lists of every row at once raise peak RSS by about 0.5 MiB
+    return [RankedPrediction(query.query_id,
+                             tuple(zip(map(names.__getitem__, row_ids.tolist()),
+                                       row_scores.tolist())), "contrastive")
+            for query, row_ids, row_scores in zip(queries, ids, scores)]
 
 
 def _score_tiles(n_queries: int, n_entities: int) -> tuple[list[slice], list[slice]]:
@@ -182,52 +183,35 @@ def _score_tiles(n_queries: int, n_entities: int) -> tuple[list[slice], list[sli
     return near_equal_slices(n_queries, TILE_BYTES // (16 * widest)), tiles
 
 
-class _RunningTop(NamedTuple):
-    """A block's top entities so far, one entry per (row, entity) kept,
-    sorted by row, then by (-score, entity index); floor is each row's
-    worst kept score once it holds top entities, and -inf before."""
-
-    rows: np.ndarray
-    ids: np.ndarray
-    scores: np.ndarray
-    floor: np.ndarray
-
-    @classmethod
-    def empty(cls, n_rows: int) -> "_RunningTop":
-        nothing = np.zeros(0, dtype=np.intp)
-        return cls(nothing, nothing, np.zeros(0), np.full(n_rows, -np.inf))
-
-
-def _merge_tile(running: _RunningTop, sims: np.ndarray, start: int,
-                top: int) -> _RunningTop:
-    """running with the scores sims of its rows against one tile of
-    entities, the first of them entity start, merged in. Tiles must come in
-    ascending order, so that equal scores keep index order."""
-    rows, ids, scores, floor = running
-    n_rows = len(floor)
-    if len(rows) < n_rows * top:
-        # a row still short of top entities takes the tile's best ones;
-        # their floor is found in a copy of the tile
+def _merge_tile(scores: np.ndarray, ids: np.ndarray, sims: np.ndarray,
+                start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The running top (scores, ids), each of shape (rows, top) and each row
+    ordered by (-score, entity index), with the scores sims of its rows
+    against one tile of entities, the first of them entity start, merged in.
+    Tiles must come in ascending order, so that equal scores keep index
+    order."""
+    n_rows, top = scores.shape
+    # a row's floor is its worst kept score, -inf while it has an empty place
+    floor = scores[:, -1]
+    if np.isneginf(floor).any():
+        # a row with an empty place takes the tile's best entities; their
+        # floor is found in a copy of the tile
         cut = sims.shape[1] - min(top, sims.shape[1])
-        np.maximum(floor, np.partition(sims, cut, axis=1)[:, cut], out=floor)
+        floor = np.maximum(floor, np.partition(sims, cut, axis=1)[:, cut])
     # an entity scoring below its row's floor can never enter the row's top;
     # flat positions, as np.nonzero on a 2-d mask is many times slower
     passed = np.flatnonzero(sims >= floor[:, None])
     new_rows, cols = np.divmod(passed, sims.shape[1])
-    rows = np.concatenate([rows, new_rows])
-    ids = np.concatenate([ids, cols + start])
-    scores = np.concatenate([scores, sims.ravel()[passed]])
+    rows = np.concatenate([np.repeat(np.arange(n_rows), top), new_rows])
+    ids = np.concatenate([ids.ravel(), cols + start])
+    scores = np.concatenate([scores.ravel(), sims.ravel()[passed]])
     # sorted by row, then descending score; equal scores keep index order
     order = np.lexsort((ids, -scores, rows))
-    rows, ids, scores = rows[order], ids[order], scores[order]
-    # each entry's rank in its row: its position less its row's first
-    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < top
-    rows, ids, scores = rows[keep], ids[keep], scores[keep]
-    counts = np.bincount(rows, minlength=n_rows)
-    full = counts == top
-    floor = np.full(n_rows, -np.inf)
-    floor[full] = scores[np.cumsum(counts)[full] - 1]
-    return _RunningTop(rows, ids, scores, floor)
+    # every row holds at least top candidates, its running ones; it keeps
+    # its first top
+    first = np.searchsorted(rows[order], np.arange(n_rows))
+    kept = order[first[:, None] + np.arange(top)]
+    return scores[kept], ids[kept]
 
 
 # ---------------------------------------------------------------------------

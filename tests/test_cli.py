@@ -561,6 +561,14 @@ for name, content, *message in [
     BAD_INPUTS[f"table-mlm:{name}"] = (
         ["probe", "--dataset", "{dataset}", "--strategy", "mask-predict",
          "--encoder", "table-mlm:{bad}"], content, *message)
+# a fill could write the table's own mask token, and the filled slot would
+# count as a mask again, past the rows of the confidence fill
+BAD_INPUTS["table-mlm:mask-token-in-vocab"] = (
+    ["probe", "--dataset", "{dataset}", "--strategy", "mask-predict", "--num-masks", "2",
+     "--fill-strategy", "confidence", "--encoder", "table-mlm:{bad}"],
+    json.dumps({"vocab": ["[MASK]", "a", "b"], "default": {"[MASK]": 0.1, "a": 0.5, "b": 0.4},
+                "rules": [{"position": 2, "probs": {"[MASK]": 0.9, "a": 0.05, "b": 0.05}}]}),
+    "{bad}: malformed MLM table: mask_token '[MASK]' must not be in the vocab")
 for name, content, *message in [
         ("missing-file", None), ("not-json", "[1, 2"),
         ("no-default", _table_without("stub_generator.json", "default")),
@@ -693,6 +701,10 @@ PROBE_FLAG_READERS = {
     "refine": ("order", "mask-predict"),
     "max-refine-iters": ("2", "mask-predict"),
 }
+# the iteration cap only bounds a refinement
+ARGV_ERRORS["probe:max-refine-iters-without-refine"] = (
+    [*PROBE, "mask-predict", "--encoder", STUB_MLM, "--max-refine-iters", "0"], 2,
+    "--max-refine-iters only applies with --refine order")
 for strategy, encoder in [("contrastive", ENCODER_SPEC), ("mask-predict", STUB_MLM),
                           ("mask-average", STUB_MLM), ("generate", STUB_GENERATOR)]:
     for flag, (value, readers) in PROBE_FLAG_READERS.items():
@@ -1189,6 +1201,24 @@ def test_sweep_layer_axis_skips_unavailable(tmp_path, curated, config_path):
     assert rows[0] == ["layer_limit", "macro_acc1", "macro_acc10"]
     assert [r[0] for r in rows[1:]] == ["3", "5", "7"]
     assert read_manifest(out)["config"]["skipped_values"] == [9, 11, 12]
+
+
+def test_sweep_layer_axis_all_skipped_trains_nothing(tmp_path, curated, config_path,
+                                                     monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a point no layer of the encoder reaches was trained for")
+
+    monkeypatch.setattr(cli, "rewire_train", fail)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--axis", "layer", "--values", "5,7", "--encoder", ENCODER_SPEC,
+                 "--corpus", CORPUS, "--config", config_path,
+                 "--dataset", str(curated / "full.jsonl"),
+                 "--entities", ENTITIES, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == ("probeforge: error: every layer limit in --values "
+                                       "exceeds the encoder's 2 layers\n")
+    assert not (out / "manifest.json").exists()
+    assert not (out / "layer_sweep.csv").exists()
 
 
 def test_sweep_workers_do_not_change_output(tmp_path, curated, config_path):

@@ -724,6 +724,13 @@ def test_mask_token_must_be_one_whitespace_free_string(mask_token):
         TableMLM(["a"], default={"a": 1.0}, mask_token=mask_token)
 
 
+def test_mask_token_must_not_be_in_the_vocab():
+    # a fill could write it, and the filled slot would count as a mask again
+    with pytest.raises(ValidationError, match="mask_token '\\[MASK\\]' must not be in the vocab"):
+        TableMLM(["[MASK]", "a"], default={"a": 1.0})
+    assert TableMLM(["[MASK]", "a"], default={"a": 1.0}, mask_token="<mask>").vocab[0] == "[MASK]"
+
+
 def test_table_mlm_json_roundtrip(tmp_path):
     mlm = one_hot_mlm()
     path = tmp_path / "mlm.json"
