@@ -36,14 +36,6 @@ from .rewire import (MaskedPair, RewireConfig, checkpoint_name, rewire_train,
 from .text import collapse_norm, read_json, write_csv, write_json
 
 CACHE_ENV = "PROBEFORGE_CACHE"
-# each probing strategy and the optional probe flags it reads; any other
-# flag must keep its default
-PROBE_STRATEGIES = {
-    "contrastive": ("encoder", "checkpoint", "entities", "k", "layer_limit", "candidate_scope"),
-    "mask-predict": ("encoder", "num_masks", "fill_strategy", "refine", "max_refine_iters"),
-    "mask-average": ("encoder", "entities", "k", "candidate_scope"),
-    "generate": ("encoder", "k"),
-}
 SWEEP_AXES = ("layer", "mask-ratio", "checkpoint-step", "seed")
 MANIFEST_NAME = "manifest.json"
 REWIRE_CONFIG_NAME = "rewire_config.json"
@@ -272,27 +264,12 @@ def cmd_rewire(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # probe
 
-def _contrastive_encoder(args: argparse.Namespace) -> tuple[EncoderHandle, str]:
-    """The encoder to probe with, and what it was built from."""
-    if args.checkpoint and args.encoder:
-        args._parser.error("--encoder and --checkpoint are mutually exclusive")
-    if args.checkpoint:
-        ckpt_dir = _resolve_checkpoint(args.checkpoint)
-        return load_checkpoint(ckpt_dir), f"checkpoint {ckpt_dir}"
-    if args.encoder:
-        return encoder_from_spec(args.encoder), f"encoder {args.encoder}"
-    args._parser.error("contrastive probing needs --encoder or --checkpoint")
-    raise AssertionError("unreachable")
-
-
 def _probe_in_scope(args, queries: Sequence[ProbeQuery],
                     rank: Callable[[list[str], list[ProbeQuery]], list[RankedPrediction]]
                     ) -> list[RankedPrediction]:
     """rank(names, queries) each query against its candidate scope, in input
     order: the --entities names, or the gold answers of the query's relation."""
     if args.candidate_scope == "full":
-        if not args.entities:
-            args._parser.error("--entities is required with --candidate-scope full")
         return rank(load_entities(args.entities), queries)
     by_relation: dict[str, list[ProbeQuery]] = {}
     for q in queries:
@@ -306,7 +283,11 @@ def _probe_in_scope(args, queries: Sequence[ProbeQuery],
 
 
 def _probe_contrastive(args, queries: Sequence[ProbeQuery]):
-    encoder, source = _contrastive_encoder(args)
+    if args.checkpoint:
+        ckpt_dir = _resolve_checkpoint(args.checkpoint)
+        encoder, source = load_checkpoint(ckpt_dir), f"checkpoint {ckpt_dir}"
+    else:
+        encoder, source = encoder_from_spec(args.encoder), f"encoder {args.encoder}"
 
     def rank(names, group):
         return contrastive_probe(encoder, build_entity_index(names), group, args.k,
@@ -347,12 +328,26 @@ def _probe_generate(args, queries: Sequence[ProbeQuery]):
     return [generate_probe(generator, q, args.k) for q in queries], generator.identity
 
 
+# each probing strategy: its runner, and the optional probe flags it reads;
+# any other flag must keep its default
+PROBE_STRATEGIES = {
+    "contrastive": (_probe_contrastive, ("encoder", "checkpoint", "entities", "k",
+                                         "layer_limit", "candidate_scope")),
+    "mask-predict": (_probe_mask_predict, ("encoder", "num_masks", "fill_strategy", "refine",
+                                           "max_refine_iters")),
+    "mask-average": (_probe_mask_average, ("encoder", "entities", "k", "candidate_scope")),
+    "generate": (_probe_generate, ("encoder", "k")),
+}
+# the probe flags that name an input; the manifest records them under inputs
+PROBE_INPUTS = ("encoder", "checkpoint", "dataset", "entities")
+
+
 def cmd_probe(args: argparse.Namespace) -> int:
     run = _Run(args)
-    reads = PROBE_STRATEGIES[args.strategy]
-    for flag in dict.fromkeys(sum(PROBE_STRATEGIES.values(), ())):
+    runner, reads = PROBE_STRATEGIES[args.strategy]
+    for flag in dict.fromkeys(f for _, flags in PROBE_STRATEGIES.values() for f in flags):
         if flag not in reads and getattr(args, flag) != args._parser.get_default(flag):
-            *others, last = [s for s, r in PROBE_STRATEGIES.items() if flag in r]
+            *others, last = [s for s, (_, r) in PROBE_STRATEGIES.items() if flag in r]
             args._parser.error(f"--{flag.replace('_', '-')} only applies to "
                                f"{', '.join(others) + ' and ' if others else ''}{last} probing")
     if args.refine is None and args.max_refine_iters != args._parser.get_default(
@@ -362,27 +357,21 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise ConfigurationError("--k must be >= 1")
     if args.strategy != "contrastive" and not args.encoder:
         args._parser.error(f"--encoder is required for {args.strategy} probing")
-    queries = _load_queries(args.dataset)
+    # only contrastive probing reads --checkpoint, so these two rules are its own
+    if args.checkpoint and args.encoder:
+        args._parser.error("--encoder and --checkpoint are mutually exclusive")
+    if not (args.checkpoint or args.encoder):
+        args._parser.error("contrastive probing needs --encoder or --checkpoint")
+    if "candidate_scope" in reads:
+        if args.candidate_scope == "full" and not args.entities:
+            args._parser.error("--entities is required with --candidate-scope full")
+        if args.candidate_scope == "relation" and args.entities:
+            args._parser.error("--entities only applies with --candidate-scope full")
+    predictions, identity = runner(args, _load_queries(args.dataset))
 
-    runner = {
-        "contrastive": _probe_contrastive,
-        "mask-predict": _probe_mask_predict,
-        "mask-average": _probe_mask_average,
-        "generate": _probe_generate,
-    }[args.strategy]
-    predictions, identity = runner(args, queries)
-
-    with run.writing(config={"strategy": args.strategy, "k": args.k,
-                             "layer_limit": args.layer_limit,
-                             "candidate_scope": args.candidate_scope,
-                             "num_masks": args.num_masks,
-                             "fill_strategy": args.fill_strategy,
-                             "refine": args.refine,
-                             "max_refine_iters": args.max_refine_iters,
-                             "model": identity},
-                     inputs={"encoder": args.encoder, "checkpoint": args.checkpoint,
-                             "dataset": args.dataset, "entities": args.entities},
-                     seed=None):
+    with run.writing(config={"strategy": args.strategy, "model": identity,
+                             **{f: getattr(args, f) for f in reads if f not in PROBE_INPUTS}},
+                     inputs={f: getattr(args, f) for f in PROBE_INPUTS}, seed=None):
         save_predictions(predictions, run.path("predictions.jsonl"))
     print(f"probe[{args.strategy}]: {len(predictions)} predictions -> {run.out}")
     return 0

@@ -687,8 +687,8 @@ class TableMLM(MLMHeadHandle):
         unknown = set(probs) - set(self._index)
         if unknown:
             raise ValidationError(f"{where}: tokens not in vocab: {sorted(unknown)}")
-        # a JSON true/false or a string is no probability
-        if not all(type(p) in (float, int) for p in probs.values()):
+        # a JSON true/false, a string or NaN is no probability
+        if not all(type(p) in (float, int) and p == p for p in probs.values()):
             raise ValidationError(f"{where}: probabilities must be numbers")
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-4:
@@ -762,8 +762,8 @@ class TableGenerator(GeneratorHandle):
     """Lookup generator: per-query candidate lists with a shared fallback."""
 
     def __init__(self, default, by_query=None, identity="table-generator"):
-        # a JSON true/false or a string is no score
-        if not all(type(v) in (float, int)
+        # a JSON true/false, a string or NaN is no score
+        if not all(type(v) in (float, int) and v == v
                    for items in [default, *(by_query or {}).values()] for _, v in items):
             raise ValidationError("generator scores must be numbers")
         self.default = [(str(s), float(v)) for s, v in default]

@@ -395,7 +395,7 @@ def generate_probe(generator: GeneratorHandle, query: ProbeQuery, k: int) -> Ran
 
 def save_predictions(predictions: Iterable[RankedPrediction], path) -> None:
     write_jsonl(path, ({"query_id": pred.query_id, "strategy": pred.strategy,
-                        "candidates": [[c, s] for c, s in pred.candidates]}
+                        "candidates": pred.candidates}
                        for pred in predictions))
 
 

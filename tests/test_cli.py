@@ -549,6 +549,10 @@ for name, content, *message in [
          "{bad}: malformed MLM table: vocab entries must be unique"),
         ("negative-prob", json.dumps({"vocab": ["a", "b"], "default": {"a": 1.5, "b": -0.5}}),
          "{bad}: malformed MLM table: default: negative probability"),
+        # every comparison with NaN is false, so no sum or sign check sees it
+        ("nan-prob", json.dumps({"vocab": ["a", "b"],
+                                 "default": {"a": float("nan"), "b": 1.0}}),
+         "{bad}: malformed MLM table: default: probabilities must be numbers"),
         ("unknown-key", json.dumps({"vocab": ["a"], "default": {"a": 1}, "temperature": 1}),
          "{bad}: unknown MLM table keys ['temperature']"),
         ("unknown-rule-key", json.dumps({"vocab": ["a", "b"], "default": {"b": 1},
@@ -574,6 +578,8 @@ for name, content, *message in [
         ("no-default", _table_without("stub_generator.json", "default")),
         ("bool-score", json.dumps({"default": [["x", True], ["y", False]]})),
         ("string-score", json.dumps({"default": [["x", "0.5"]]})),
+        ("nan-score", json.dumps({"default": [["x", 1.0], ["y", float("nan")]]}),
+         "{bad}: malformed generator table: generator scores must be numbers"),
         ("empty-candidates", json.dumps({"default": []}),
          "{bad}: malformed generator table: generator candidate lists must be non-empty"),
         ("unknown-key", json.dumps({"default": [["x", 1]], "max_new_tokens": 8}),
@@ -668,6 +674,18 @@ ARGV_ERRORS = {
         "--layer-limit only applies to contrastive probing"),
     "probe:mask-average-without-encoder": (
         [*PROBE, "mask-average"], 2, "--encoder is required for mask-average probing"),
+    # the scope rule runs before the checkpoint is read
+    "probe:entities-required-before-the-checkpoint": (
+        [*PROBE, "contrastive", "--checkpoint", "{nothing}"], 2,
+        "--entities is required with --candidate-scope full"),
+    "probe:entities-with-relation-scope-contrastive": (
+        [*PROBE, "contrastive", "--encoder", ENCODER_SPEC, "--entities", ENTITIES,
+         "--candidate-scope", "relation"], 2,
+        "--entities only applies with --candidate-scope full"),
+    "probe:entities-with-relation-scope-mask-average": (
+        [*PROBE, "mask-average", "--encoder", STUB_MLM, "--entities", ENTITIES,
+         "--candidate-scope", "relation"], 2,
+        "--entities only applies with --candidate-scope full"),
     "sweep:values-empty": (
         [*SWEEP, "layer", "--values", ","], 1, "--values must list at least one value"),
     "sweep:values-not-numbers": (
@@ -1067,6 +1085,33 @@ def test_probe_generate_stub(tmp_path, curated):
     assert code == 0
     predictions = load_predictions(out / "predictions.jsonl")
     assert all(len(p.candidates) <= 5 for p in predictions)
+
+
+# strategy -> (its probe flags, as the CI "Baseline strategies" step sets them,
+# or for contrastive, which that step does not run, as the demo does; the
+# manifest config the probe must record)
+PROBE_CONFIGS = {
+    "contrastive": (["--encoder", ENCODER_SPEC, "--entities", ENTITIES],
+                    {"model": encoder_from_spec(ENCODER_SPEC).identity, "k": 10,
+                     "layer_limit": None, "candidate_scope": "full"}),
+    "mask-predict": (["--encoder", STUB_MLM, "--fill-strategy", "order", "--refine", "order"],
+                     {"model": "table-mlm:stub_mlm.json", "num_masks": 5,
+                      "fill_strategy": "order", "refine": "order", "max_refine_iters": 5}),
+    "mask-average": (["--encoder", STUB_MLM, "--entities", ENTITIES],
+                     {"model": "table-mlm:stub_mlm.json", "k": 10, "candidate_scope": "full"}),
+    "generate": (["--encoder", STUB_GENERATOR],
+                 {"model": "table-generator:stub_generator.json", "k": 10}),
+}
+
+
+@pytest.mark.parametrize("strategy", list(PROBE_CONFIGS))
+def test_probe_manifest_records_only_the_flags_its_strategy_reads(tmp_path, curated,
+                                                                   strategy):
+    flags, config = PROBE_CONFIGS[strategy]
+    out = tmp_path / "probe"
+    assert main(["probe", "--dataset", str(curated / "full.jsonl"), "--strategy", strategy,
+                 *flags, "--out", str(out)]) == 0
+    assert read_manifest(out)["config"] == {"strategy": strategy, **config}
 
 
 # ---------------------------------------------------------------------------
