@@ -209,7 +209,8 @@ def _resolve_checkpoint(checkpoint) -> Path:
 def cmd_curate(args: argparse.Namespace) -> int:
     run = _Run(args)
     result = load_triples(args.triples)
-    templates = load_templates(args.templates) if args.templates else default_templates()
+    templates = (default_templates() if args.templates is None
+                 else load_templates(args.templates))
     queries = group_queries(result.triples, templates,
                             max_answers=args.max_answers,
                             per_relation_cap=args.per_relation, seed=args.seed)
@@ -283,7 +284,7 @@ def _probe_in_scope(args, queries: Sequence[ProbeQuery],
 
 
 def _probe_contrastive(args, queries: Sequence[ProbeQuery]):
-    if args.checkpoint:
+    if args.checkpoint is not None:
         ckpt_dir = _resolve_checkpoint(args.checkpoint)
         encoder, source = load_checkpoint(ckpt_dir), f"checkpoint {ckpt_dir}"
     else:
@@ -358,9 +359,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     if args.strategy != "contrastive" and not args.encoder:
         args._parser.error(f"--encoder is required for {args.strategy} probing")
     # only contrastive probing reads --checkpoint, so these two rules are its own
-    if args.checkpoint and args.encoder:
+    if args.checkpoint is not None and args.encoder:
         args._parser.error("--encoder and --checkpoint are mutually exclusive")
-    if not (args.checkpoint or args.encoder):
+    if args.checkpoint is None and not args.encoder:
         args._parser.error("contrastive probing needs --encoder or --checkpoint")
     if "candidate_scope" in reads:
         if args.candidate_scope == "full" and not args.entities:
@@ -418,10 +419,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
                        metadata={"missing_predictions": len(split_ids) - len(split_preds)})
 
     bins = rescored = None
-    if args.length_bins:
+    if args.length_bins is not None:
         edges = _parse_int_list(args.length_bins, "--length-bins")
         bins = bin_by_answer_length(split_queries, hits, edges, k_values)
-    if args.annotations:
+    if args.annotations is not None:
         annotations = load_annotations(args.annotations)
         sample_ids = {a.query_id for a in annotations}
         sample = [p for p in split_preds if p.query_id in sample_ids]
@@ -430,7 +431,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     with run.writing(config={"split": args.split, "k": list(k_values), "model": args.model,
                              "strategy": strategy, "length_bins": args.length_bins,
-                             "annotated": bool(args.annotations)},
+                             "annotated": args.annotations is not None},
                      inputs={"predictions": args.predictions, "dataset": args.dataset,
                              "annotations": args.annotations},
                      seed=None):
@@ -449,14 +450,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # sweep
 
 def _sweep_point(axis: str, config: RewireConfig, probe_step: int, value):
-    """Training config, probe step, layer limit and report metadata of one value."""
+    """Training config, probe step and layer limit of one value."""
     if axis == "layer":
-        return config, probe_step, value, {}
+        return config, probe_step, value
     if axis == "mask-ratio":
-        return replace(config, mask_ratio=value), probe_step, None, {}
+        return replace(config, mask_ratio=value), probe_step, None
     if axis == "checkpoint-step":
-        return config, value, None, {"checkpoint_step": value}
-    return replace(config, seed=value), probe_step, None, {"seed": value}
+        return config, value, None
+    return replace(config, seed=value), probe_step, None
 
 
 def _parse_axis_values(axis: str, raw: str):
@@ -475,16 +476,16 @@ def _parse_axis_values(axis: str, raw: str):
 
 
 def _sweep_report(encoder: EncoderHandle, queries, index: EntityIndex, layer_limit,
-                  k_values, metadata) -> EvalReport:
+                  k_values) -> EvalReport:
     predictions = contrastive_probe(encoder, index, queries, max(k_values), layer_limit)
     hits = score_predictions(predictions, queries, k_values)
     return aggregate(hits, k_values, model=encoder.identity,
-                     strategy="contrastive", split="full", metadata=metadata)
+                     strategy="contrastive", split="full")
 
 
 def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, queries,
                  index: EntityIndex, k_values) -> dict[int, EvalReport | None]:
-    """Report of each (step, position, layer limit, metadata) point, by position.
+    """Report of each (step, position, layer limit) point, by position.
 
     Points that share a training config share one encoder, trained once
     through their steps in ascending order and probed as it reaches each:
@@ -496,7 +497,7 @@ def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, querie
     """
     encoder = encoder_from_spec(encoder_spec)
     pairs, reports = None, {}
-    for step, i, layer_limit, metadata in sorted(points, key=lambda p: p[:2]):
+    for step, i, layer_limit in sorted(points):
         if layer_limit is not None and layer_limit > encoder.max_layers:
             reports[i] = None
             continue
@@ -504,7 +505,7 @@ def _sweep_group(encoder_spec: str, corpus, config: RewireConfig, points, querie
             if pairs is None:
                 pairs = _masked_pairs(corpus, config)
             rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0))
-        reports[i] = _sweep_report(encoder, queries, index, layer_limit, k_values, metadata)
+        reports[i] = _sweep_report(encoder, queries, index, layer_limit, k_values)
     if all(report is None for report in reports.values()):
         raise ConfigurationError(f"every layer limit in --values exceeds the encoder's "
                                  f"{encoder.max_layers} layers")
@@ -515,7 +516,7 @@ def _write_sweep_csv(axis: str, values, reports: list[EvalReport],
                      path: Callable[[str], Path]) -> None:
     """Write the axis table of reports (in value order) to path(its name)."""
     if axis == "checkpoint-step":
-        write_step_curves_csv(step_curves(reports, k=1), path("step_curves.csv"))
+        write_step_curves_csv(step_curves(values, reports), path("step_curves.csv"))
         return
     if axis == "seed":
         summary = stability_summary(reports)
@@ -547,8 +548,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     groups: dict[tuple, tuple[RewireConfig, list]] = {}
     for i, value in enumerate(values):
-        cfg, step, layer_limit, metadata = _sweep_point(args.axis, config, probe_step, value)
-        groups.setdefault(astuple(cfg), (cfg, []))[1].append((step, i, layer_limit, metadata))
+        cfg, step, layer_limit = _sweep_point(args.axis, config, probe_step, value)
+        groups.setdefault(astuple(cfg), (cfg, []))[1].append((step, i, layer_limit))
     reports = {}
     for cfg, points in groups.values():
         reports.update(_sweep_group(args.encoder, args.corpus, cfg, points, queries,

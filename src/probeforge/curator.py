@@ -87,9 +87,9 @@ class TripleLoadResult:
     malformed: int = 0
 
 
-def load_triples(source) -> TripleLoadResult:
-    """Parse head<TAB>relation<TAB>tail lines; up to two trailing ID columns
-    (head_id, tail_id) are accepted and ignored.
+def load_triples(path) -> TripleLoadResult:
+    """Parse the head<TAB>relation<TAB>tail lines of the file at path; up to
+    two trailing ID columns (head_id, tail_id) are accepted and ignored.
 
     Comment lines starting with "#" and blank lines are ignored. Malformed
     lines (wrong field count, empty mandatory field, a tail with no word
@@ -98,7 +98,7 @@ def load_triples(source) -> TripleLoadResult:
     """
     triples: list[KnowledgeTriple] = []
     malformed = total = 0
-    for raw in read_lines(source, "triples"):
+    for raw in read_lines(path, "triples"):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -309,13 +309,19 @@ def save_dataset(queries: Iterable[ProbeQuery], path) -> None:
 
 
 def load_dataset(path) -> list[ProbeQuery]:
-    """Read a query dataset back, validating each line's schema.
+    """Read a query dataset back, validating each line's schema. A query_id
+    may not repeat, since predictions are scored by it.
 
     An empty file is a valid empty dataset.
     """
+    seen: set[str] = set()
+
     def build(query_id, relation_id, head_name, query_text, answers, hard):
         if not all(isinstance(a, str) for a in answers):
             raise ValidationError("field has wrong type")
+        if query_id in seen:
+            raise ValidationError(f"duplicate query_id {query_id!r}")
+        seen.add(query_id)
         mask_slot(query_text)
         return ProbeQuery(query_id, relation_id, head_name, query_text, answers, hard)
 

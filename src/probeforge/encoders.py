@@ -90,6 +90,7 @@ class EncoderHandle(ABC):
     step counts the SGD steps taken; rewire_train continues from it."""
 
     identity: str
+    backend: str
     step: int
     embedding_dim: int
     max_layers: int
@@ -395,16 +396,12 @@ class ReferenceEncoder(EncoderHandle):
         # the rows count as stored only now, so a failed append stores nothing
         self._row_of.update(zip(texts, range(n, n_new)))
 
-    def _block_weight(self, i: int) -> np.ndarray:
-        # kept as a hook so tests can observe which blocks a forward pass reads
-        return self.blocks[i]
-
     def _layers(self, state: np.ndarray, limit: int):
         """The input to each of the first limit blocks, then the output, and
         each block's tanh activation: what backward_train reads."""
         states, tanhs = [state], []
         for i in range(limit):
-            t = states[-1] @ self._block_weight(i)
+            t = states[-1] @ self.blocks[i]
             np.tanh(t, out=t)
             tanhs.append(t)
             states.append(states[-1] + t)
@@ -431,7 +428,7 @@ class ReferenceEncoder(EncoderHandle):
         state = rows @ self.w_in[cols]
         del rows
         for i in range(limit):
-            t = state @ self._block_weight(i)
+            t = state @ self.blocks[i]
             np.tanh(t, out=t)
             state += t
         return state
@@ -515,7 +512,7 @@ def save_checkpoint(encoder: EncoderHandle, ckpt_dir) -> Path:
         "embedding_dim": encoder.embedding_dim,
         "max_layers": encoder.max_layers,
         "step": encoder.step,
-        "backend": getattr(encoder, "backend", "unknown"),
+        "backend": encoder.backend,
         "config": encoder.sidecar_config(),
         "sha256": digests,
     }

@@ -258,27 +258,23 @@ class StepCurveRow(NamedTuple):
     std: float
 
 
-def step_curves(reports: Sequence[EvalReport], k: int = 1) -> list[StepCurveRow]:
-    """Per-relation accuracy curve over checkpoint steps, with a "macro" row
-    per step. Reports at the same step (different seeds or samples) collapse
-    to mean and population std."""
+def step_curves(steps: Sequence[int], reports: Sequence[EvalReport]) -> list[StepCurveRow]:
+    """Per-relation acc@1 curve over checkpoint steps, with a "macro" row per
+    step; reports[i] was taken at steps[i]. Reports at the same step
+    (different seeds or samples) collapse to mean and population std."""
     relations, ks = _matching_reports(reports, minimum=1)
-    if k not in ks:
-        raise ValidationError(f"reports were not scored at k={k}")
+    if 1 not in ks:
+        raise ValidationError("reports were not scored at k=1")
     by_step: dict[int, list[EvalReport]] = {}
-    for report in reports:
-        step = report.metadata.get("checkpoint_step")
-        if not isinstance(step, int):
-            raise ValidationError("every report needs an integer metadata"
-                                  " checkpoint_step for step curves")
+    for step, report in zip(steps, reports, strict=True):
         by_step.setdefault(step, []).append(report)
     rows = []
     for step in sorted(by_step):
         group = by_step[step]
         for rel in relations:
-            ms = _mean_std([r.per_relation[rel].acc[k] for r in group])
+            ms = _mean_std([r.per_relation[rel].acc[1] for r in group])
             rows.append(StepCurveRow(step, rel, ms.mean, ms.std))
-        ms = _mean_std([r.macro[k] for r in group])
+        ms = _mean_std([r.macro[1] for r in group])
         rows.append(StepCurveRow(step, "macro", ms.mean, ms.std))
     return rows
 
@@ -355,14 +351,10 @@ class RescoreResult:
 def expert_rescore(predictions: Sequence[RankedPrediction],
                    annotations: Sequence[ExpertAnnotation],
                    answers_by_query: Mapping[str, Sequence[str]],
-                   k_values=DEFAULT_K_VALUES,
-                   perfect_threshold: int = PERFECT_SCORE) -> RescoreResult:
-    """Cross-tabulate expert scores against gold-match status at each k."""
+                   k_values=DEFAULT_K_VALUES) -> RescoreResult:
+    """Cross-tabulate expert scores against gold-match status at each k; a
+    candidate scored PERFECT_SCORE counts as a perfect answer."""
     ks = _check_k_values(k_values)
-    if perfect_threshold not in ANNOTATION_SCORES:
-        raise ValidationError(
-            f"perfect_threshold must be in {ANNOTATION_SCORES}, got {perfect_threshold}"
-        )
     if not predictions:
         raise InputError("no predictions to rescore")
     scores: dict[tuple[str, str], int] = {}
@@ -403,7 +395,7 @@ def expert_rescore(predictions: Sequence[RankedPrediction],
                 confusion[k][scores[(pred.query_id, cand)]][status] += 1
 
     perfect = {k: sum(cell["gold_hit"] + cell["gold_miss"]
-                      for s, cell in confusion[k].items() if s >= perfect_threshold)
+                      for s, cell in confusion[k].items() if s >= PERFECT_SCORE)
                for k in ks}
     gold_hits = {k: sum(cell["gold_hit"] for cell in confusion[k].values())
                  for k in ks}
@@ -422,7 +414,7 @@ def expert_rescore(predictions: Sequence[RankedPrediction],
                 f"ratio is {perfect[k]}/{totals[k]}"
             )
     return RescoreResult(
-        k_values=ks, perfect_threshold=perfect_threshold, totals=totals,
+        k_values=ks, perfect_threshold=PERFECT_SCORE, totals=totals,
         confusion=confusion, gold_candidate_acc=gold_candidate_acc,
         gold_query_acc=gold_query_acc, annotated_acc=annotated_acc,
         annotated_candidate_acc=annotated_candidate_acc, notes=tuple(notes),

@@ -65,14 +65,13 @@ class RankedPrediction:
     strategy: str
 
     def __post_init__(self):
-        clean = tuple((str(c), float(s)) for c, s in self.candidates)
-        object.__setattr__(self, "candidates", clean)
-        scores = [s for _, s in clean]
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        scores = [s for _, s in self.candidates]
         if any(math.isnan(s) for s in scores):
             raise ValidationError(f"prediction {self.query_id!r} has a NaN score")
         if any(b > a for a, b in zip(scores, scores[1:])):
             raise ValidationError(f"prediction {self.query_id!r} has increasing scores")
-        names = [c for c, _ in clean]
+        names = [c for c, _ in self.candidates]
         if len(set(names)) != len(names):
             raise ValidationError(f"prediction {self.query_id!r} has duplicate candidates")
 
@@ -404,7 +403,7 @@ def _prediction(query_id, strategy, candidates) -> RankedPrediction:
     if not all(isinstance(c, list) and len(c) == 2 and isinstance(c[0], str)
                and type(c[1]) in (float, int) for c in candidates):
         raise ValidationError("field has wrong type")
-    return RankedPrediction(query_id, tuple((c, s) for c, s in candidates), strategy)
+    return RankedPrediction(query_id, tuple((c, float(s)) for c, s in candidates), strategy)
 
 
 def load_predictions(path) -> list[RankedPrediction]:

@@ -106,9 +106,9 @@ class MaskedPair:
 def sample_sentences(corpus, n: int, seed: int) -> list[str]:
     """Uniform reservoir sample of n eligible sentences from a corpus.
 
-    corpus is a path or an iterable of lines; eligibility means the
-    whitespace word count lies in [MIN_WORDS, MAX_WORDS]. When exactly n
-    sentences are eligible, they come back unchanged in input order.
+    corpus is the path of a text file of one sentence a line; eligibility
+    means the whitespace word count lies in [MIN_WORDS, MAX_WORDS]. When
+    exactly n sentences are eligible, they come back unchanged in input order.
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")

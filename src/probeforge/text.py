@@ -7,7 +7,7 @@ Two normalizations coexist on purpose: answer handling collapses case and
 whitespace only, while match scoring additionally strips punctuation hanging
 off the ends of the string.
 
-Every reader decodes through _file_lines, the one place that opens a file
+Every reader decodes through read_lines, the one place that opens a file
 to read text, and follows one error rule. A leading UTF-8 byte-order mark,
 as spreadsheet exports write, is skipped. A file that cannot be read, or is
 not valid UTF-8, raises InputError. Text that is not JSON, or a value of the
@@ -93,15 +93,8 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def read_lines(source, what: str) -> Iterable[str]:
-    """The lines of the UTF-8 text file at source, a str or Path, read as the
-    caller iterates; any other iterable of lines comes back unchanged."""
-    if not isinstance(source, (str, Path)):
-        return source
-    return _file_lines(source, what)
-
-
-def _file_lines(path, what: str) -> Iterator[str]:
+def read_lines(path, what: str) -> Iterator[str]:
+    """The lines of the UTF-8 text file at path, read as the caller iterates."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             yield from fh
@@ -113,7 +106,7 @@ def read_json(path, what: str, kind: type = dict):
     """The document of a UTF-8 JSON file, whose top-level value must be a kind:
     dict for a JSON object, list for an array."""
     try:
-        doc = json.loads("".join(_file_lines(path, what)))
+        doc = json.loads("".join(read_lines(path, what)))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, kind):
@@ -147,7 +140,7 @@ def read_records(path, what: str, fields: Mapping[str, type],
     the line."""
     values_of, kinds = itemgetter(*fields), tuple(fields.values())
     out = []
-    for lineno, raw in enumerate(_file_lines(path, what), start=1):
+    for lineno, raw in enumerate(read_lines(path, what), start=1):
         if not raw.strip():
             continue
         try:

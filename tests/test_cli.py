@@ -520,6 +520,10 @@ BAD_INPUTS = {
     "eval:dataset-field-of-wrong-type": (
         BAD_DATASET, json.dumps({**GOOD_QUERY, "hard": "yes"}),
         "{bad}:1: field has wrong type"),
+    "probe:dataset-query-id-repeated": (
+        ["probe", "--dataset", "{bad}", "--strategy", "contrastive", "--encoder", ENCODER_SPEC,
+         "--entities", ENTITIES], f"{json.dumps(GOOD_QUERY)}\n" * 2,
+        "{bad}:2: duplicate query_id 'q'"),
     "probe:checkpoint-of-an-unknown-backend": (
         ["probe", "--checkpoint", "{bad}", "--dataset", "{dataset}",
          "--entities", ENTITIES, "--strategy", "contrastive"],
@@ -627,6 +631,18 @@ ARGV_ERRORS = {
     "eval:length-bins-not-integers": (
         [*EVAL, "--length-bins", "10,2.5"], 1,
         "--length-bins: expected comma-separated integers, got '10,2.5'"),
+    # an empty flag value is read, not taken for the flag's absence
+    "eval:length-bins-empty": (
+        [*EVAL, "--length-bins", ""], 1, "--length-bins must list at least one integer"),
+    "eval:annotations-empty": (
+        [*EVAL, "--annotations", ""], 1,
+        "cannot read annotations from : [Errno 2] No such file or directory: ''"),
+    "curate:templates-empty": (
+        ["curate", "--triples", TRIPLES, "--templates", ""], 1,
+        "cannot read templates from : [Errno 2] No such file or directory: ''"),
+    "probe:checkpoint-empty-with-encoder": (
+        [*PROBE, "contrastive", "--encoder", ENCODER_SPEC, "--checkpoint", "",
+         "--entities", ENTITIES], 2, "--encoder and --checkpoint are mutually exclusive"),
     "eval:split-empty": (
         ["eval", "--predictions", "{empty}", "--dataset", "{empty}"], 1,
         "no queries in the full split"),
@@ -1384,11 +1400,10 @@ def _oracle_pairs(config: RewireConfig):
             if p is not None]
 
 
-def _oracle_report(encoder, queries, metadata: dict):
+def _oracle_report(encoder, queries):
     index = build_entity_index(load_entities(ENTITIES))
     hits = score_predictions(contrastive_probe(encoder, index, queries, 10), queries)
-    return aggregate(hits, (1, 10), model=encoder.identity, strategy="contrastive",
-                     metadata=metadata)
+    return aggregate(hits, (1, 10), model=encoder.identity, strategy="contrastive")
 
 
 def test_sweep_checkpoint_steps_match_fresh_training(tmp_path, curated):
@@ -1402,13 +1417,13 @@ def test_sweep_checkpoint_steps_match_fresh_training(tmp_path, curated):
     config = RewireConfig.from_json(config_path)
     pairs = _oracle_pairs(config)
     queries = load_dataset(curated / "full.jsonl")
-    reports = []
-    for step in (20, 0, 10):
+    steps, reports = (20, 0, 10), []
+    for step in steps:
         encoder = encoder_from_spec(spec)
         if step:
             rewire_train(encoder, pairs, replace(config, steps=step, checkpoint_every=0))
-        reports.append(_oracle_report(encoder, queries, {"checkpoint_step": step}))
-    write_step_curves_csv(step_curves(reports, k=1), tmp_path / "oracle.csv")
+        reports.append(_oracle_report(encoder, queries))
+    write_step_curves_csv(step_curves(steps, reports), tmp_path / "oracle.csv")
     assert ((out / "step_curves.csv").read_bytes()
             == (tmp_path / "oracle.csv").read_bytes())
 
@@ -1429,7 +1444,7 @@ def test_sweep_seeds_match_fresh_training(tmp_path, curated):
                          checkpoint_every=0)
         encoder = encoder_from_spec(spec)
         rewire_train(encoder, _oracle_pairs(config), config)
-        reports.append(_oracle_report(encoder, queries, {"seed": seed}))
+        reports.append(_oracle_report(encoder, queries))
     summary = stability_summary(reports)
     write_csv(tmp_path / "oracle.csv",
               ["relation_id", "acc1_mean", "acc1_std", "acc10_mean", "acc10_std"],

@@ -1,4 +1,3 @@
-import io
 import json
 from dataclasses import astuple
 
@@ -75,8 +74,15 @@ def test_oracle_freeze_magnesium():
 # ---------------------------------------------------------------------------
 # load_triples
 
-def test_load_triples_basic():
-    src = io.StringIO(
+def _load_triples_text(tmp_path, text):
+    path = tmp_path / "triples.tsv"
+    path.write_text(text, encoding="utf-8")
+    return load_triples(path)
+
+
+def test_load_triples_basic(tmp_path):
+    result = _load_triples_text(
+        tmp_path,
         "# comment\n"
         "Entecavir\tmay_treat\tHepatitis B\n"
         "\n"
@@ -84,29 +90,28 @@ def test_load_triples_basic():
         "bad line without tabs\n"
         "\tmay_treat\tmissing head\n"
     )
-    result = load_triples(src)
     assert [astuple(t) for t in result.triples] == [
         ("Entecavir", "may_treat", "Hepatitis B"), ("Aspirin", "may_prevent", "Stroke")]
     assert result.malformed == 2
 
 
-def test_load_triples_four_fields():
-    result = load_triples(io.StringIO("A\trel\tB\tID1\n"))
+def test_load_triples_four_fields(tmp_path):
+    result = _load_triples_text(tmp_path, "A\trel\tB\tID1\n")
     assert [astuple(t) for t in result.triples] == [("A", "rel", "B")]
     assert result.malformed == 0
 
 
-def test_load_triples_counts_a_tail_without_a_word_as_malformed():
-    result = load_triples(io.StringIO("A\trel\t--\nA\trel\t. ?\nA\trel\tB-12 .\n"))
+def test_load_triples_counts_a_tail_without_a_word_as_malformed(tmp_path):
+    result = _load_triples_text(tmp_path, "A\trel\t--\nA\trel\t. ?\nA\trel\tB-12 .\n")
     assert [astuple(t) for t in result.triples] == [("A", "rel", "B-12 .")]
     assert result.malformed == 2
 
 
-def test_load_triples_empty_stream():
+def test_load_triples_empty_stream(tmp_path):
     with pytest.raises(EmptyDatasetError):
-        load_triples(io.StringIO(""))
+        _load_triples_text(tmp_path, "")
     with pytest.raises(EmptyDatasetError):
-        load_triples(io.StringIO("# only comments\n"))
+        _load_triples_text(tmp_path, "# only comments\n")
 
 
 def test_load_triples_unreadable_path():

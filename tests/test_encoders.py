@@ -65,20 +65,27 @@ def test_layer_limit_out_of_range():
         enc.encode(TEXTS, layer_limit=enc.max_layers + 1)
 
 
-class RecordingEncoder(ReferenceEncoder):
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.touched = []
+class RecordingBlocks(list):
+    """An encoder's block list that reports each index read through it."""
 
-    def _block_weight(self, i):
-        self.touched.append(i)
-        return super()._block_weight(i)
+    def __init__(self, blocks, on_read):
+        super().__init__(blocks)
+        self.on_read = on_read
+
+    def __getitem__(self, i):
+        self.on_read(i)
+        return super().__getitem__(i)
 
 
 def test_truncated_forward_never_reads_deeper_blocks():
-    enc = RecordingEncoder(dim=16, seed=3, layers=4, feature_dim=128)
+    enc = ReferenceEncoder(dim=16, seed=3, layers=4, feature_dim=128)
+    touched = []
+    enc.blocks = RecordingBlocks(enc.blocks, touched.append)
     enc.encode(TEXTS, layer_limit=2)
-    assert set(enc.touched) == {0, 1}
+    assert set(touched) == {0, 1}
+    touched.clear()
+    enc.forward_train(TEXTS, layer_limit=2)
+    assert set(touched) == {0, 1}
 
 
 def test_batch_partition_independence():
@@ -429,13 +436,13 @@ def test_encode_memory_beyond_its_result_is_bounded(layers):
         assert peak - start - vectors.nbytes <= ENCODE_GROUP_BYTES, n
 
 
-def test_encode_blocks_keep_only_the_running_state(monkeypatch):
+def test_encode_blocks_keep_only_the_running_state():
     # each block adds its tanh into the one state in place, so what encode
     # holds as the blocks run does not grow with their number
     enc = ReferenceEncoder(dim=64, seed=7, layers=12, feature_dim=2048)
-    held, weight = [], enc._block_weight
-    monkeypatch.setattr(enc, "_block_weight",
-                        lambda i: held.append(tracemalloc.get_traced_memory()[0]) or weight(i))
+    held = []
+    enc.blocks = RecordingBlocks(
+        enc.blocks, lambda i: held.append(tracemalloc.get_traced_memory()[0]))
     tracemalloc.start()
     try:
         enc.encode(syllable_vocabulary(128))

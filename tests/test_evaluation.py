@@ -213,12 +213,11 @@ def test_bin_edges_must_increase():
 # ---------------------------------------------------------------------------
 # stability and step curves
 
-def report_with_acc(acc, relation="rel", n=5, step=None, k_values=(1,)):
+def report_with_acc(acc, relation="rel", n=5, k_values=(1,)):
     hit_count = round(acc * n)
     hits = [QueryHits(f"q{i}", relation, {k: int(i < hit_count) for k in k_values})
             for i in range(n)]
-    metadata = {} if step is None else {"checkpoint_step": step}
-    return aggregate(hits, k_values=k_values, metadata=metadata)
+    return aggregate(hits, k_values=k_values)
 
 
 def test_identical_reports_have_zero_std():
@@ -243,9 +242,9 @@ def test_stability_needs_two_comparable_reports():
 
 
 def test_step_curves_group_by_checkpoint_step():
-    reports = [report_with_acc(0.2, step=50), report_with_acc(0.4, step=50),
-               report_with_acc(0.6, step=100), report_with_acc(0.8, step=100)]
-    rows = step_curves(reports, k=1)
+    reports = [report_with_acc(0.6), report_with_acc(0.2),
+               report_with_acc(0.8), report_with_acc(0.4)]
+    rows = step_curves([100, 50, 100, 50], reports)
     assert [(r.step, r.relation_id) for r in rows] == [
         (50, "rel"), (50, "macro"), (100, "rel"), (100, "macro")]
     assert rows[0].mean == pytest.approx(0.3, abs=1e-12)
@@ -253,9 +252,9 @@ def test_step_curves_group_by_checkpoint_step():
     assert rows[2].mean == pytest.approx(0.7, abs=1e-12)
 
 
-def test_step_curves_need_step_metadata():
-    with pytest.raises(ValidationError, match="checkpoint_step"):
-        step_curves([report_with_acc(0.2)])
+def test_step_curves_need_a_step_per_report():
+    with pytest.raises(ValueError, match="argument 2 is longer than argument 1"):
+        step_curves([50], [report_with_acc(0.2), report_with_acc(0.4)])
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +334,6 @@ def test_all_perfect_scores_saturate_the_plain_ratio():
                             k_values=(2,))
     assert result.annotated_candidate_acc[2] == 1.0
     assert result.annotated_acc[2] == 1.0
-
-
-def test_threshold_one_accepts_everything():
-    _, predictions, annotations, answers = build_annotated_world()
-    result = expert_rescore(predictions, annotations, answers,
-                            perfect_threshold=1)
-    for k in (1, 10):
-        assert result.annotated_candidate_acc[k] == 1.0
 
 
 def test_missing_annotation_lists_the_pair():
@@ -441,9 +432,9 @@ def test_sweep_csv_writers(tmp_path):
         expected.append([str(layer), f"{report.macro[1]:.6f}", f"{report.macro[10]:.6f}"])
     assert read_csv(tmp_path / "sweep" / "layer_sweep.csv") == expected
 
-    reports = [report_with_acc(0.2, step=50), report_with_acc(0.4, step=50)]
+    reports = [report_with_acc(0.2), report_with_acc(0.4)]
     step_path = tmp_path / "steps.csv"
-    write_step_curves_csv(step_curves(reports), step_path)
+    write_step_curves_csv(step_curves([50, 50], reports), step_path)
     rows = read_csv(step_path)
     assert rows[0] == ["step", "relation_id", "acc1_mean", "acc1_std"]
     assert rows[1] == ["50", "rel", "0.300000", "0.100000"]

@@ -237,31 +237,39 @@ def test_tail_mask_invariants(words, ratio):
 CORPUS = [f"sentence number {i} has exactly six words." for i in range(50)]
 
 
-def test_sample_exact_population_is_order_stable():
-    got = sample_sentences(list(CORPUS), 50, seed=1)
+def _corpus_file(tmp_path, lines):
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def test_sample_exact_population_is_order_stable(tmp_path):
+    got = sample_sentences(_corpus_file(tmp_path, CORPUS), 50, seed=1)
     assert got == CORPUS
 
 
-def test_sample_deterministic_and_seed_sensitive():
+def test_sample_deterministic_and_seed_sensitive(tmp_path):
     big = [f"line {i} with plenty of words to qualify here." for i in range(200)]
-    a = sample_sentences(list(big), 20, seed=3)
-    b = sample_sentences(list(big), 20, seed=3)
-    c = sample_sentences(list(big), 20, seed=4)
+    corpus = _corpus_file(tmp_path, big)
+    a = sample_sentences(corpus, 20, seed=3)
+    b = sample_sentences(corpus, 20, seed=3)
+    c = sample_sentences(corpus, 20, seed=4)
     assert a == b
     assert a != c
     assert len(a) == 20
     assert all(s in big for s in a)
 
 
-def test_sample_filters_word_counts():
-    corpus = ["too short", "x " * 70, "this sentence has five words."]
+def test_sample_filters_word_counts(tmp_path):
+    corpus = _corpus_file(tmp_path, ["too short", "x " * 70, "this sentence has five words."])
     got = sample_sentences(corpus, 1, seed=0)
     assert got == ["this sentence has five words."]
 
 
-def test_sample_insufficient_corpus_message():
+def test_sample_insufficient_corpus_message(tmp_path):
+    corpus = _corpus_file(tmp_path, ["one two three four five", "a b c d e f", "nope"])
     with pytest.raises(InsufficientCorpusError, match="needed 5 .* 2 eligible of 3"):
-        sample_sentences(["one two three four five", "a b c d e f", "nope"], 5, seed=0)
+        sample_sentences(corpus, 5, seed=0)
 
 
 # ---------------------------------------------------------------------------

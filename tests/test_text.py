@@ -13,7 +13,8 @@ from probeforge.encoders import ReferenceEncoder, save_checkpoint
 from probeforge.errors import InputError, ValidationError
 from probeforge.evaluation import (EvalReport, ExpertAnnotation, RelationScore,
                                    load_annotations, save_annotations, save_report)
-from probeforge.probers import RankedPrediction, load_entities, save_predictions
+from probeforge.probers import (RankedPrediction, load_entities, load_predictions,
+                                save_predictions)
 from probeforge.rewire import RewireConfig, sample_sentences
 from probeforge import text
 from probeforge.text import read_json, read_lines, sha256_file
@@ -43,9 +44,7 @@ def test_read_json_error_rule(tmp_path):
     assert read_json(path, "thing") == {}
 
 
-def test_read_lines_passes_iterables_through(tmp_path):
-    lines = ["a\n", "b"]
-    assert read_lines(lines, "lines") is lines
+def test_read_lines_reads_a_text_file(tmp_path):
     path = tmp_path / "lines.txt"
     path.write_bytes(b"a\r\nb")
     assert list(read_lines(path, "lines")) == ["a\n", "b"]
@@ -101,12 +100,17 @@ def test_save_dataset_bytes(tmp_path):
 
 def test_save_predictions_bytes(tmp_path):
     path = tmp_path / "predictions.jsonl"
-    save_predictions([RankedPrediction("q1", (("Ménière", 0.5), ("x", -1)), "contrastive")],
+    save_predictions([RankedPrediction("q1", (("Ménière", 0.5), ("x", -1.0)), "contrastive")],
                      path)
-    assert path.read_bytes() == (
+    written = (
         '{"query_id": "q1", "strategy": "contrastive", '
         '"candidates": [["Ménière", 0.5], ["x", -1.0]]}\n'
     ).encode("utf-8")
+    assert path.read_bytes() == written
+    # a JSON integer score loads as a float, so the file saves back unchanged
+    path.write_bytes(written.replace(b"-1.0", b"-1"))
+    save_predictions(load_predictions(path), path)
+    assert path.read_bytes() == written
 
 
 # ---------------------------------------------------------------------------
